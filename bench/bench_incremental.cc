@@ -103,7 +103,8 @@ void BM_FromScratchViewUpdate(benchmark::State& state) {
       state.SkipWithError("encoding failed");
       return;
     }
-    Result<Relation> view = Evaluate(w.view, *db, benchobs::ObsContext());
+    Result<Relation> view =
+        Evaluate(w.view, *db, ExecOptions{.ctx = &benchobs::ObsContext()});
     if (!view.ok()) {
       state.SkipWithError("evaluation failed");
       return;

@@ -76,7 +76,7 @@ void BM_ParallelOneShard(benchmark::State& state) {
   for (auto _ : state) {
     Result<Instance> out =
         ParallelApply(*w.method, w.instance, w.receivers,
-                      ParallelOptions{1, nullptr}, benchobs::ObsContext());
+                      ExecOptions{.ctx = &benchobs::ObsContext()});
     if (!out.ok()) state.SkipWithError("parallel application failed");
     benchmark::DoNotOptimize(out);
   }

@@ -71,8 +71,9 @@ BENCHMARK(BM_SequentialApplication)
 void BM_ParallelApplication(benchmark::State& state) {
   Workload w = BuildWorkload(state.range(0));
   for (auto _ : state) {
-    Result<Instance> out = ParallelApply(*w.method, w.instance, w.receivers,
-                                         benchobs::ObsContext());
+    Result<Instance> out =
+        ParallelApply(*w.method, w.instance, w.receivers,
+                      ExecOptions{.ctx = &benchobs::ObsContext()});
     if (!out.ok()) state.SkipWithError("parallel application failed");
     benchmark::DoNotOptimize(out);
   }
@@ -95,8 +96,9 @@ void BM_SingletonParity(benchmark::State& state) {
   Instance par = std::move(ParallelApply(*w.method, w.instance, one)).value();
   if (!(seq == par)) state.SkipWithError("Proposition 6.3 violated");
   for (auto _ : state) {
-    Result<Instance> out =
-        ParallelApply(*w.method, w.instance, one, benchobs::ObsContext());
+    Result<Instance> out = ParallelApply(
+        *w.method, w.instance, one,
+        ExecOptions{.ctx = &benchobs::ObsContext()});
     benchmark::DoNotOptimize(out);
   }
 }

@@ -283,7 +283,8 @@ Result<std::vector<Receiver>> ReceiversFromQuery(
     const ExprPtr& query, const Instance& instance,
     const MethodSignature& signature, ExecContext& ctx) {
   SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(instance));
-  SETREC_ASSIGN_OR_RETURN(Relation result, Evaluate(query, db, ctx));
+  SETREC_ASSIGN_OR_RETURN(Relation result,
+                          Evaluate(query, db, ExecOptions{.ctx = &ctx}));
   if (result.scheme().arity() != signature.size()) {
     return Status::InvalidArgument(
         "query result arity does not match the method signature");

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/sequential.h"
+#include "core/thread_pool.h"
 #include "relational/builder.h"
 #include "relational/evaluator.h"
 
@@ -224,8 +225,9 @@ std::vector<std::pair<std::size_t, std::size_t>> ShardBoundaries(
 Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
                                const Instance& instance,
                                std::span<const Receiver> receivers,
-                               const ParallelOptions& options,
-                               ExecContext& ctx) {
+                               const ExecOptions& options) {
+  ExecScope scope(options);
+  ExecContext& ctx = scope.ctx();
   const MethodContext& mctx = method.context();
   TraceSpan apply_span = StartSpan(ctx, "parallel/apply");
   MetricsRegistry* metrics = ctx.metrics();
@@ -329,33 +331,12 @@ Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
       }
     }
   }
-  return out;
-}
-
-Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
-                               const Instance& instance,
-                               std::span<const Receiver> receivers,
-                               const ExecOptions& options) {
-  ExecScope scope(options);
-  ParallelOptions par;
-  par.num_workers = options.num_workers;
-  par.pool = options.pool;
-  par.backend = options.backend;
-  Result<Instance> result =
-      ParallelApply(method, instance, receivers, par, scope.ctx());
-  if (result.ok() && options.view_cache != nullptr) {
+  if (options.view_cache != nullptr) {
     // Advisory publication: the cache fails closed on its own when it
     // cannot absorb a delta, so errors here do not fail the apply.
-    (void)options.view_cache->ApplyDelta(DiffInstances(instance, *result));
+    (void)options.view_cache->ApplyDelta(DiffInstances(instance, out));
   }
-  return result;
-}
-
-Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
-                               const Instance& instance,
-                               std::span<const Receiver> receivers,
-                               ExecContext& ctx) {
-  return ParallelApply(method, instance, receivers, ParallelOptions{}, ctx);
+  return out;
 }
 
 }  // namespace setrec

@@ -4,9 +4,7 @@
 #include <span>
 
 #include "algebraic/algebraic_method.h"
-#include "core/exec_context.h"
 #include "core/exec_options.h"
-#include "core/thread_pool.h"
 
 namespace setrec {
 
@@ -35,34 +33,20 @@ Result<Catalog> ParCatalog(const MethodContext& context);
 /// not supported (and never needed — the attribute is reserved).
 Result<ExprPtr> ParTransform(const ExprPtr& expr, const MethodContext& context);
 
-/// Execution options for the multi-core parallel-application runtime.
-struct ParallelOptions {
-  /// Number of receiver shards evaluated concurrently. 1 (the default)
-  /// reproduces the classic path: one rec relation, one par(E) evaluation
-  /// per statement, on the calling thread.
-  std::size_t num_workers = 1;
-  /// Pool to run the shards on (borrowed, not owned). When null and
-  /// num_workers > 1, a transient pool of num_workers threads is spawned
-  /// for the call — attach a long-lived pool to amortize thread startup.
-  ThreadPool* pool = nullptr;
-  /// Evaluation backend for the per-shard par(E) pipelines
-  /// (core/exec_backend.h). Shard results — and the logical evaluator
-  /// counters — are backend-invariant, like they are worker-count-invariant.
-  ExecBackend backend = ExecBackend::kAuto;
-};
-
 /// Parallel application M_par(I, T) (Definition 6.2): instantiates rec with
 /// the whole receiver set at once, evaluates one par(E) expression per
 /// statement, and replaces, for every receiving object occurring in T, its
 /// a-edges by the objects par(E) links to it. Every receiver must be valid
 /// over `instance`. Duplicate receivers are deduplicated (T is a set).
-/// The par(E) evaluations and the edge-replacement loops run under `ctx`
-/// (row/memory budgets apply to the joins the rewriting introduces).
+/// The par(E) evaluations and the edge-replacement loops run under the
+/// options' context (row/memory budgets apply to the joins the rewriting
+/// introduces), on the options' backend.
 ///
 /// With options.num_workers > 1, the receiver set is partitioned into
 /// contiguous shards of the canonical enumeration — never splitting
 /// receivers that share a receiving object — and the par(E) pipelines of
-/// the shards are evaluated concurrently, each charging a Fork() of `ctx`
+/// the shards are evaluated concurrently on options.pool (a transient pool
+/// of num_workers threads when null), each charging a Fork() of the context
 /// so budgets hold exactly across the fan-out. Every par(E) operator acts
 /// slice-wise on the reserved `self` attribute (leaves restrict rec by
 /// self, products join on self, projections retain self), so a shard
@@ -70,27 +54,12 @@ struct ParallelOptions {
 /// is *identical* to the single-shard evaluation — results are
 /// deterministic and independent of worker count, which the determinism
 /// tests pin down bit-for-bit. Edge replacements are merged in canonical
-/// receiver order on the calling thread.
+/// receiver order on the calling thread. On success the delta is published
+/// to options.view_cache, if any.
 Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
                                const Instance& instance,
                                std::span<const Receiver> receivers,
-                               const ParallelOptions& options,
-                               ExecContext& ctx = ExecContext::Default());
-
-/// Unified entry point: ExecOptions carries the governing context, the
-/// observability sinks, and the multi-core knobs (num_workers/pool) in one
-/// struct. Prefer this overload; the ParallelOptions form above is the
-/// compat shim predating ExecOptions.
-Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
-                               const Instance& instance,
-                               std::span<const Receiver> receivers,
-                               const ExecOptions& options);
-
-/// Classic single-threaded entry point (options = 1 worker).
-Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
-                               const Instance& instance,
-                               std::span<const Receiver> receivers,
-                               ExecContext& ctx = ExecContext::Default());
+                               const ExecOptions& options = {});
 
 }  // namespace setrec
 

@@ -46,9 +46,9 @@ using CommitHook =
     std::function<Status(const Instance& before, const Instance& after)>;
 
 /// The one options struct every governed entry point accepts. It bundles
-/// the parameters that used to accrete one by one on each signature
-/// (ExecContext*, CommitHook, ParallelOptions, and now Tracer* /
-/// MetricsRegistry*), so adding an execution concern never changes an API
+/// the execution concerns (context, commit hook, worker count and pool,
+/// backend, observability sinks) that would otherwise accrete one by one on
+/// each signature, so adding an execution concern never changes an API
 /// again. All fields are optional; a default-constructed ExecOptions means
 /// "permissive, unobserved, single-threaded, commit unconditionally" —
 /// exactly the old default-argument behavior.
@@ -96,7 +96,7 @@ struct ExecOptions {
 
   /// Commit interposition for the in-place SQL statements; ignored by
   /// read-only entry points.
-  CommitHook commit_hook;
+  CommitHook commit_hook = nullptr;
 
   /// Incremental view cache (or any delta sink) to keep in sync with the
   /// call's effects. Mutating entry points publish the committed delta to

@@ -137,8 +137,10 @@ Result<OrderIndependenceOutcome> PairwiseOrderIndependentOn(
 Result<Instance> SequentialApply(const UpdateMethod& method,
                                  const Instance& instance,
                                  std::span<const Receiver> receivers,
-                                 bool verify_order_independence,
-                                 ExecContext& ctx) {
+                                 const ExecOptions& options,
+                                 bool verify_order_independence) {
+  ExecScope scope(options);
+  ExecContext& ctx = scope.ctx();
   std::vector<Receiver> set = CanonicalReceiverSet(receivers);
   if (verify_order_independence) {
     SETREC_ASSIGN_OR_RETURN(OrderIndependenceOutcome outcome,
@@ -149,23 +151,13 @@ Result<Instance> SequentialApply(const UpdateMethod& method,
           "M_seq is ill-defined");
     }
   }
-  return ApplySequence(method, instance, set, ctx);
-}
-
-Result<Instance> SequentialApply(const UpdateMethod& method,
-                                 const Instance& instance,
-                                 std::span<const Receiver> receivers,
-                                 const ExecOptions& options,
-                                 bool verify_order_independence) {
-  ExecScope scope(options);
-  Result<Instance> result = SequentialApply(method, instance, receivers,
-                                            verify_order_independence,
-                                            scope.ctx());
-  if (result.ok() && options.view_cache != nullptr) {
+  SETREC_ASSIGN_OR_RETURN(Instance result,
+                          ApplySequence(method, instance, set, ctx));
+  if (options.view_cache != nullptr) {
     // The apply itself succeeded; the cache is advisory and fails closed on
     // its own when it cannot absorb a delta, so publication errors do not
     // fail the call.
-    (void)options.view_cache->ApplyDelta(DiffInstances(instance, *result));
+    (void)options.view_cache->ApplyDelta(DiffInstances(instance, result));
   }
   return result;
 }

@@ -69,21 +69,15 @@ Result<OrderIndependenceOutcome> PairwiseOrderIndependentOn(
     ExecContext& ctx = ExecContext::Default());
 
 /// Sequential application M_seq(I, T) (Definition 3.1): picks an arbitrary
-/// (here: sorted) enumeration of T. When `verify_order_independence` is set,
-/// first runs the exhaustive test and fails with FailedPrecondition if M is
-/// not order independent on (I, T).
+/// (here: sorted) enumeration of T under the options' context. When
+/// `verify_order_independence` is set, first runs the exhaustive test and
+/// fails with FailedPrecondition if M is not order independent on (I, T).
+/// On success the delta is published to options.view_cache, if any.
 Result<Instance> SequentialApply(const UpdateMethod& method,
                                  const Instance& instance,
                                  std::span<const Receiver> receivers,
-                                 const ExecOptions& options,
+                                 const ExecOptions& options = {},
                                  bool verify_order_independence = false);
-
-/// Compat shim predating ExecOptions; prefer the overload above.
-Result<Instance> SequentialApply(const UpdateMethod& method,
-                                 const Instance& instance,
-                                 std::span<const Receiver> receivers,
-                                 bool verify_order_independence = false,
-                                 ExecContext& ctx = ExecContext::Default());
 
 /// Deduplicates and sorts a receiver list into a canonical set enumeration.
 std::vector<Receiver> CanonicalReceiverSet(std::span<const Receiver> receivers);

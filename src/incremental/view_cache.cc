@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "objrel/encoding.h"
+#include "relational/plan.h"
 
 namespace setrec {
 
@@ -45,54 +45,35 @@ std::uint64_t NowNs() {
 
 }  // namespace
 
-/// One registered view: a compiled operator plan (children precede parents
-/// in `nodes`; the root is last) plus the per-node memo state the delta
-/// rules maintain — materialized outputs, join indexes keyed by the join
+/// One registered view: its expression's Plan plus the per-node state the
+/// delta rules maintain. `nodes` parallels the plan's nodes (inputs first;
+/// the root is last) — materialized outputs, join indexes keyed by the join
 /// attributes, and projection support counts.
 struct ViewCache::View {
-  /// A resolved selection condition local to one tuple.
-  struct Cond {
-    bool equal;
-    std::size_t ia;
-    std::size_t ib;
-  };
-  /// A residual (non-equality) condition across a join's two sides.
-  struct CrossCond {
-    bool equal;
-    bool a_left;
-    std::size_t ia;
-    bool b_left;
-    std::size_t ib;
-  };
-
   struct Node {
-    enum class Kind {
-      kBase,        // leaf: reads the cache's mirror relation
-      kUnion,       // left ∪ right
-      kDifference,  // left − right
-      kJoin,        // σ-chain over a product, fused (bare products too)
-      kFilter,      // σ over a non-product child (also the identity wrapper)
-      kProject,     // π with support counts
-      kRename,      // ρ (tuples pass through; only the scheme changes)
-    };
+    /// The plan operator this node maintains. Products are maintained as
+    /// joins without conditions; the root wrapper (see RegisterLocked)
+    /// passes its input through like a rename.
+    Node(const Plan::Node* plan_node, Plan::Kind maintained_as,
+         std::size_t input, std::size_t second_input)
+        : op(plan_node),
+          kind(maintained_as),
+          left(input),
+          right(second_input) {}
 
-    Kind kind;
-    RelationScheme scheme;
-    std::size_t left = 0;   // child for unary nodes
-    std::size_t right = 0;  // second child for binary nodes
+    const Plan::Node* op;
+    Plan::Kind kind;
+    std::size_t left;   // input for unary nodes
+    std::size_t right;  // second input for binary nodes
 
-    std::string relation_name;                    // kBase
-    std::vector<Cond> filter_conds;               // kFilter
-    std::vector<Cond> local_left, local_right;    // kJoin per-side filters
-    std::vector<CrossCond> cross;                 // kJoin residual conditions
-    std::vector<std::size_t> left_key, right_key; // kJoin key projections
-    std::vector<std::size_t> proj;                // kProject indices
+    const RelationScheme& scheme() const { return op->scheme; }
 
-    // Materialized output (all kinds except kBase, which aliases the
+    // Materialized output (all kinds except kScan, which aliases the
     // mirror). Handed out by Read() for the root, so refreshes clone before
     // mutating whenever a reader still holds it (copy-on-write).
     std::shared_ptr<Relation> out;
-    // kJoin: side tuples passing the local filters, keyed by join key.
+    // kJoin/kProduct: side tuples passing the local filters, keyed by the
+    // join key.
     std::unordered_map<Tuple, TupleSet, TupleHash> left_index, right_index;
     // kProject: pre-image count per output tuple.
     std::unordered_map<Tuple, std::size_t, TupleHash> support;
@@ -101,27 +82,31 @@ struct ViewCache::View {
   std::string name;
   ExprPtr expr;
   std::string expr_text;
-  std::vector<Node> nodes;  // topological order; root = nodes.back()
-  std::unordered_map<const Expr*, std::size_t> memo;
-  std::set<std::string> base_rels;
+  Plan plan;
+  std::vector<Node> nodes;
   std::uint64_t cursor = 0;  // global pending index consumed up to
   bool cold = true;          // needs full rematerialization on next read
-  bool stale = false;        // unconsumed pending entries touch base_rels
+  bool stale = false;        // unconsumed pending entries touch the plan
   std::uint64_t last_read_tick = 0;
+
+  bool Reads(std::string_view relation) const {
+    return std::binary_search(plan.base_relations().begin(),
+                              plan.base_relations().end(), relation);
+  }
 };
 
 namespace {
 
-bool PassesConds(const Tuple& t, const std::vector<ViewCache::View::Cond>& cs) {
-  for (const auto& c : cs) {
-    if ((t.at(c.ia) == t.at(c.ib)) != c.equal) return false;
+bool PassesConds(const Tuple& t, const std::vector<Plan::Cond>& cs) {
+  for (const Plan::Cond& c : cs) {
+    if (!c.Holds(t)) return false;
   }
   return true;
 }
 
 bool ResidualOk(const ViewCache::View::Node& n, const Tuple& l,
                 const Tuple& r) {
-  for (const auto& c : n.cross) {
+  for (const Plan::Cond& c : n.op->residuals) {
     const ObjectId va = c.a_left ? l.at(c.ia) : r.at(c.ia);
     const ObjectId vb = c.b_left ? l.at(c.ib) : r.at(c.ib);
     if ((va == vb) != c.equal) return false;
@@ -133,7 +118,7 @@ bool ResidualOk(const ViewCache::View::Node& n, const Tuple& l,
 /// reader still holds the current storage.
 Relation& MutableOut(ViewCache::View::Node& n) {
   if (n.out == nullptr) {
-    n.out = std::make_shared<Relation>(n.scheme);
+    n.out = std::make_shared<Relation>(n.scheme());
   } else if (n.out.use_count() > 1) {
     n.out = std::make_shared<Relation>(*n.out);
   }
@@ -319,7 +304,7 @@ Status ViewCache::ApplyDelta(const InstanceDelta& delta) {
   for (auto& [name, view] : views_) {
     if (view->stale || view->cold) continue;
     for (const auto& [rel, td] : appended) {
-      if (view->base_rels.count(rel) > 0) {
+      if (view->Reads(rel)) {
         view->stale = true;
         ++stats_.invalidations;
         if (options_.metrics != nullptr) {
@@ -331,165 +316,6 @@ Status ViewCache::ApplyDelta(const InstanceDelta& delta) {
   }
   Compact();
   return Status::OK();
-}
-
-Result<std::size_t> ViewCache::BuildNode(View& view, const ExprPtr& expr) {
-  auto memo_it = view.memo.find(expr.get());
-  if (memo_it != view.memo.end()) return memo_it->second;
-
-  View::Node node;
-  switch (expr->op()) {
-    case Expr::Op::kRelation: {
-      SETREC_ASSIGN_OR_RETURN(const RelationScheme* scheme,
-                              catalog_.Find(expr->relation_name()));
-      node.kind = View::Node::Kind::kBase;
-      node.scheme = *scheme;
-      node.relation_name = expr->relation_name();
-      view.base_rels.insert(expr->relation_name());
-      break;
-    }
-    case Expr::Op::kUnion:
-    case Expr::Op::kDifference: {
-      SETREC_ASSIGN_OR_RETURN(std::size_t l, BuildNode(view, expr->left()));
-      SETREC_ASSIGN_OR_RETURN(std::size_t r, BuildNode(view, expr->right()));
-      if (!(view.nodes[l].scheme == view.nodes[r].scheme)) {
-        return Status::InvalidArgument(
-            "union/difference operands must have identical schemes");
-      }
-      node.kind = expr->op() == Expr::Op::kUnion ? View::Node::Kind::kUnion
-                                                 : View::Node::Kind::kDifference;
-      node.scheme = view.nodes[l].scheme;
-      node.left = l;
-      node.right = r;
-      break;
-    }
-    case Expr::Op::kProduct:
-    case Expr::Op::kSelectEq:
-    case Expr::Op::kSelectNeq: {
-      // σ-chain fusion, mirroring Evaluator::EvalSelectionChain: collect
-      // the selections down to the bottom; a product bottom fuses into one
-      // join node (a bare product is a join with no conditions). A chain
-      // over a non-product child stays a plain filter node.
-      if (expr->op() != Expr::Op::kProduct) {
-        const Expr* bottom = expr.get();
-        while (bottom->op() == Expr::Op::kSelectEq ||
-               bottom->op() == Expr::Op::kSelectNeq) {
-          bottom = bottom->child().get();
-        }
-        if (bottom->op() != Expr::Op::kProduct) {
-          SETREC_ASSIGN_OR_RETURN(std::size_t c, BuildNode(view, expr->child()));
-          const RelationScheme& cs = view.nodes[c].scheme;
-          SETREC_ASSIGN_OR_RETURN(std::size_t ia, cs.IndexOf(expr->attr_a()));
-          SETREC_ASSIGN_OR_RETURN(std::size_t ib, cs.IndexOf(expr->attr_b()));
-          if (cs.attribute(ia).domain != cs.attribute(ib).domain) {
-            return Status::InvalidArgument(
-                "selection compares attributes of different domains");
-          }
-          node.kind = View::Node::Kind::kFilter;
-          node.scheme = cs;
-          node.left = c;
-          node.filter_conds.push_back(
-              {expr->op() == Expr::Op::kSelectEq, ia, ib});
-          break;
-        }
-      }
-      struct Condition {
-        bool equal;
-        std::string a;
-        std::string b;
-      };
-      std::vector<Condition> conditions;
-      const Expr* bottom = expr.get();
-      while (bottom->op() == Expr::Op::kSelectEq ||
-             bottom->op() == Expr::Op::kSelectNeq) {
-        conditions.push_back(Condition{bottom->op() == Expr::Op::kSelectEq,
-                                       bottom->attr_a(), bottom->attr_b()});
-        bottom = bottom->child().get();
-      }
-      SETREC_ASSIGN_OR_RETURN(std::size_t l, BuildNode(view, bottom->left()));
-      SETREC_ASSIGN_OR_RETURN(std::size_t r, BuildNode(view, bottom->right()));
-      std::vector<Attribute> attrs = view.nodes[l].scheme.attributes();
-      for (const Attribute& a : view.nodes[r].scheme.attributes()) {
-        if (view.nodes[l].scheme.HasAttribute(a.name)) {
-          return Status::InvalidArgument(
-              "product operands share attribute name " + a.name);
-        }
-        attrs.push_back(a);
-      }
-      SETREC_ASSIGN_OR_RETURN(RelationScheme scheme,
-                              RelationScheme::Make(std::move(attrs)));
-      const std::size_t lw = view.nodes[l].scheme.arity();
-      node.kind = View::Node::Kind::kJoin;
-      node.left = l;
-      node.right = r;
-      for (const Condition& c : conditions) {
-        SETREC_ASSIGN_OR_RETURN(std::size_t ga, scheme.IndexOf(c.a));
-        SETREC_ASSIGN_OR_RETURN(std::size_t gb, scheme.IndexOf(c.b));
-        if (scheme.attribute(ga).domain != scheme.attribute(gb).domain) {
-          return Status::InvalidArgument(
-              "selection compares attributes of different domains");
-        }
-        const bool a_left = ga < lw;
-        const bool b_left = gb < lw;
-        const std::size_t ia = a_left ? ga : ga - lw;
-        const std::size_t ib = b_left ? gb : gb - lw;
-        if (a_left && b_left) {
-          node.local_left.push_back({c.equal, ia, ib});
-        } else if (!a_left && !b_left) {
-          node.local_right.push_back({c.equal, ia, ib});
-        } else if (c.equal) {
-          node.left_key.push_back(a_left ? ia : ib);
-          node.right_key.push_back(a_left ? ib : ia);
-        } else {
-          node.cross.push_back({c.equal, a_left, ia, b_left, ib});
-        }
-      }
-      node.scheme = std::move(scheme);
-      break;
-    }
-    case Expr::Op::kProject: {
-      SETREC_ASSIGN_OR_RETURN(std::size_t c, BuildNode(view, expr->child()));
-      const RelationScheme& cs = view.nodes[c].scheme;
-      std::vector<Attribute> attrs;
-      std::set<std::string> seen;
-      for (const std::string& name : expr->projection()) {
-        if (!seen.insert(name).second) {
-          return Status::InvalidArgument("duplicate projection attribute " +
-                                         name);
-        }
-        SETREC_ASSIGN_OR_RETURN(std::size_t i, cs.IndexOf(name));
-        node.proj.push_back(i);
-        attrs.push_back(cs.attribute(i));
-      }
-      SETREC_ASSIGN_OR_RETURN(RelationScheme scheme,
-                              RelationScheme::Make(std::move(attrs)));
-      node.kind = View::Node::Kind::kProject;
-      node.scheme = std::move(scheme);
-      node.left = c;
-      break;
-    }
-    case Expr::Op::kRename: {
-      SETREC_ASSIGN_OR_RETURN(std::size_t c, BuildNode(view, expr->child()));
-      const RelationScheme& cs = view.nodes[c].scheme;
-      SETREC_ASSIGN_OR_RETURN(std::size_t i, cs.IndexOf(expr->rename_from()));
-      if (cs.HasAttribute(expr->rename_to())) {
-        return Status::InvalidArgument("rename target attribute " +
-                                       expr->rename_to() + " already present");
-      }
-      std::vector<Attribute> attrs = cs.attributes();
-      attrs[i].name = expr->rename_to();
-      SETREC_ASSIGN_OR_RETURN(RelationScheme scheme,
-                              RelationScheme::Make(std::move(attrs)));
-      node.kind = View::Node::Kind::kRename;
-      node.scheme = std::move(scheme);
-      node.left = c;
-      break;
-    }
-  }
-  const std::size_t index = view.nodes.size();
-  view.nodes.push_back(std::move(node));
-  view.memo.emplace(expr.get(), index);
-  return index;
 }
 
 Status ViewCache::Register(std::string name, ExprPtr expr) {
@@ -521,15 +347,15 @@ Status ViewCache::RegisterLocked(std::string name, ExprPtr expr,
   view->name = name;
   view->expr = std::move(expr);
   view->expr_text = std::move(text);
-  SETREC_ASSIGN_OR_RETURN(std::size_t root, BuildNode(*view, view->expr));
-  if (view->nodes[root].kind == View::Node::Kind::kBase) {
+  SETREC_ASSIGN_OR_RETURN(view->plan, Plan::Build(*view->expr, catalog_));
+  for (const Plan::Node& op : view->plan.nodes()) {
+    view->nodes.emplace_back(&op, op.kind, op.left, op.right);
+  }
+  if (view->plan.root().kind == Plan::Kind::kScan) {
     // A bare relation reference would alias the mutable mirror; wrap it in
-    // an identity filter so the root always owns immutable output storage.
-    View::Node wrapper;
-    wrapper.kind = View::Node::Kind::kFilter;
-    wrapper.scheme = view->nodes[root].scheme;
-    wrapper.left = root;
-    view->nodes.push_back(std::move(wrapper));
+    // a pass-through node so the root always owns immutable output storage.
+    view->nodes.emplace_back(&view->plan.root(), Plan::Kind::kRename,
+                             view->nodes.size() - 1, 0);
   }
   view->cursor = PendingHead();
   view->cold = true;
@@ -552,8 +378,8 @@ bool ViewCache::Unregister(std::string_view name) {
 const Relation& ViewCache::NodeRel(const View& view,
                                    std::size_t index) const {
   const View::Node& n = view.nodes[index];
-  if (n.kind == View::Node::Kind::kBase) {
-    return *mirror_.at(n.relation_name);
+  if (n.kind == Plan::Kind::kScan) {
+    return *mirror_.at(n.op->origin->relation_name());
   }
   return *n.out;
 }
@@ -564,15 +390,15 @@ Status ViewCache::RebuildView(View& view, ExecContext* ctx) {
   // half-built node state marked for rematerialization, never served.
   view.cold = true;
   for (View::Node& n : view.nodes) {
-    if (n.kind == View::Node::Kind::kBase) continue;
+    if (n.kind == Plan::Kind::kScan) continue;
     // Fresh storage per rebuild: previously handed-out snapshots keep the
     // old relation alive, untouched.
-    n.out = std::make_shared<Relation>(n.scheme);
+    n.out = std::make_shared<Relation>(n.scheme());
     Relation& out = *n.out;
     switch (n.kind) {
-      case View::Node::Kind::kBase:
+      case Plan::Kind::kScan:
         break;
-      case View::Node::Kind::kUnion: {
+      case Plan::Kind::kUnion: {
         const Relation& l = NodeRel(view, n.left);
         const Relation& r = NodeRel(view, n.right);
         out.Reserve(l.size() + r.size());
@@ -586,7 +412,7 @@ Status ViewCache::RebuildView(View& view, ExecContext* ctx) {
         }
         break;
       }
-      case View::Node::Kind::kDifference: {
+      case Plan::Kind::kDifference: {
         const Relation& l = NodeRel(view, n.left);
         const Relation& r = NodeRel(view, n.right);
         out.Reserve(l.size());
@@ -596,20 +422,21 @@ Status ViewCache::RebuildView(View& view, ExecContext* ctx) {
         }
         break;
       }
-      case View::Node::Kind::kJoin: {
+      case Plan::Kind::kProduct:
+      case Plan::Kind::kJoin: {
         const Relation& l = NodeRel(view, n.left);
         const Relation& r = NodeRel(view, n.right);
         n.left_index.clear();
         n.right_index.clear();
         for (const Tuple& t : l) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/rebuild/build"));
-          if (!PassesConds(t, n.local_left)) continue;
-          IndexInsert(n.left_index, t.Project(n.left_key), t);
+          if (!PassesConds(t, n.op->probe_filters)) continue;
+          IndexInsert(n.left_index, t.Project(n.op->left_key), t);
         }
         for (const Tuple& t : r) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/rebuild/build"));
-          if (!PassesConds(t, n.local_right)) continue;
-          IndexInsert(n.right_index, t.Project(n.right_key), t);
+          if (!PassesConds(t, n.op->build_filters)) continue;
+          IndexInsert(n.right_index, t.Project(n.op->right_key), t);
         }
         for (const auto& [key, lts] : n.left_index) {
           auto rit = n.right_index.find(key);
@@ -623,26 +450,26 @@ Status ViewCache::RebuildView(View& view, ExecContext* ctx) {
         }
         break;
       }
-      case View::Node::Kind::kFilter: {
+      case Plan::Kind::kFilter: {
         const Relation& c = NodeRel(view, n.left);
         out.Reserve(c.size());
         for (const Tuple& t : c) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/rebuild/row"));
-          if (PassesConds(t, n.filter_conds)) out.InsertValidated(t);
+          if (n.op->filter.Holds(t)) out.InsertValidated(t);
         }
         break;
       }
-      case View::Node::Kind::kProject: {
+      case Plan::Kind::kProject: {
         const Relation& c = NodeRel(view, n.left);
         n.support.clear();
         for (const Tuple& t : c) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/rebuild/row"));
-          Tuple p = t.Project(n.proj);
+          Tuple p = t.Project(n.op->columns);
           if (++n.support[p] == 1) out.InsertValidated(std::move(p));
         }
         break;
       }
-      case View::Node::Kind::kRename: {
+      case Plan::Kind::kRename: {
         const Relation& c = NodeRel(view, n.left);
         out.Reserve(c.size());
         for (const Tuple& t : c) {
@@ -671,7 +498,7 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
   std::map<std::string, NodeDelta, std::less<>> net;
   for (std::size_t i = view.cursor - pending_base_; i < pending_.size(); ++i) {
     for (const auto& [rel, td] : pending_[i]) {
-      if (view.base_rels.count(rel) == 0) continue;
+      if (!view.Reads(rel)) continue;
       NodeDelta& nd = net[rel];
       for (const Tuple& t : td.added) nd.Add(t);
       for (const Tuple& t : td.removed) nd.Remove(t);
@@ -690,12 +517,12 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
     NodeDelta& d = deltas[i];
     SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/refresh/node"));
     switch (n.kind) {
-      case View::Node::Kind::kBase: {
-        auto it = net.find(n.relation_name);
+      case Plan::Kind::kScan: {
+        auto it = net.find(n.op->origin->relation_name());
         if (it != net.end()) d = it->second;
         break;
       }
-      case View::Node::Kind::kUnion: {
+      case Plan::Kind::kUnion: {
         const NodeDelta& dl = deltas[n.left];
         const NodeDelta& dr = deltas[n.right];
         const Relation& l = NodeRel(view, n.left);
@@ -714,7 +541,7 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
         }
         break;
       }
-      case View::Node::Kind::kDifference: {
+      case Plan::Kind::kDifference: {
         const NodeDelta& dl = deltas[n.left];
         const NodeDelta& dr = deltas[n.right];
         const Relation& l = NodeRel(view, n.left);
@@ -737,15 +564,16 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
         }
         break;
       }
-      case View::Node::Kind::kJoin: {
+      case Plan::Kind::kProduct:
+      case Plan::Kind::kJoin: {
         const NodeDelta& dl = deltas[n.left];
         const NodeDelta& dr = deltas[n.right];
         // Phase 1 — left delta against the *old* right index:
         // Δout = ΔL ⋈ R_old, maintaining the left index along the way.
         for (const Tuple& t : dl.removed) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/refresh/probe"));
-          if (!PassesConds(t, n.local_left)) continue;
-          Tuple key = t.Project(n.left_key);
+          if (!PassesConds(t, n.op->probe_filters)) continue;
+          Tuple key = t.Project(n.op->left_key);
           auto rit = n.right_index.find(key);
           if (rit != n.right_index.end()) {
             for (const Tuple& rt : rit->second) {
@@ -756,8 +584,8 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
         }
         for (const Tuple& t : dl.added) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/refresh/probe"));
-          if (!PassesConds(t, n.local_left)) continue;
-          Tuple key = t.Project(n.left_key);
+          if (!PassesConds(t, n.op->probe_filters)) continue;
+          Tuple key = t.Project(n.op->left_key);
           auto rit = n.right_index.find(key);
           if (rit != n.right_index.end()) {
             for (const Tuple& rt : rit->second) {
@@ -772,8 +600,8 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
         // the new state — annihilate instead of double-reporting.
         for (const Tuple& t : dr.removed) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/refresh/probe"));
-          if (!PassesConds(t, n.local_right)) continue;
-          Tuple key = t.Project(n.right_key);
+          if (!PassesConds(t, n.op->build_filters)) continue;
+          Tuple key = t.Project(n.op->right_key);
           auto lit = n.left_index.find(key);
           if (lit != n.left_index.end()) {
             for (const Tuple& lt : lit->second) {
@@ -784,8 +612,8 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
         }
         for (const Tuple& t : dr.added) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/refresh/probe"));
-          if (!PassesConds(t, n.local_right)) continue;
-          Tuple key = t.Project(n.right_key);
+          if (!PassesConds(t, n.op->build_filters)) continue;
+          Tuple key = t.Project(n.op->right_key);
           auto lit = n.left_index.find(key);
           if (lit != n.left_index.end()) {
             for (const Tuple& lt : lit->second) {
@@ -796,24 +624,24 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
         }
         break;
       }
-      case View::Node::Kind::kFilter: {
+      case Plan::Kind::kFilter: {
         const NodeDelta& dc = deltas[n.left];
         for (const Tuple& t : dc.added) {
-          if (PassesConds(t, n.filter_conds)) d.added.insert(t);
+          if (n.op->filter.Holds(t)) d.added.insert(t);
         }
         for (const Tuple& t : dc.removed) {
-          if (PassesConds(t, n.filter_conds)) d.removed.insert(t);
+          if (n.op->filter.Holds(t)) d.removed.insert(t);
         }
         break;
       }
-      case View::Node::Kind::kProject: {
+      case Plan::Kind::kProject: {
         const NodeDelta& dc = deltas[n.left];
         // Batch the support-count changes per output tuple before deciding
         // membership transitions, so a projection that loses one pre-image
         // and gains another emits no spurious delta.
         std::unordered_map<Tuple, std::int64_t, TupleHash> change;
-        for (const Tuple& t : dc.added) ++change[t.Project(n.proj)];
-        for (const Tuple& t : dc.removed) --change[t.Project(n.proj)];
+        for (const Tuple& t : dc.added) ++change[t.Project(n.op->columns)];
+        for (const Tuple& t : dc.removed) --change[t.Project(n.op->columns)];
         for (auto& [p, c] : change) {
           if (c == 0) continue;
           auto sit = n.support.find(p);
@@ -833,7 +661,7 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
         }
         break;
       }
-      case View::Node::Kind::kRename: {
+      case Plan::Kind::kRename: {
         d = deltas[n.left];
         break;
       }

@@ -72,9 +72,9 @@ struct ViewCacheOptions {
 /// never mutates a relation a previous Read() handed out (copy-on-write).
 class ViewCache : public DeltaSink {
  public:
-  /// Implementation detail (a registered view's compiled plan plus memo
-  /// state), defined in the .cc; public only so file-local helpers there
-  /// can name its nested types.
+  /// Implementation detail (a registered view's plan plus per-node
+  /// maintenance state), defined in the .cc; public only so file-local
+  /// helpers there can name its nested types.
   struct View;
 
   /// Monotonic counters describing the cache's life so far.
@@ -172,7 +172,6 @@ class ViewCache : public DeltaSink {
   Status RegisterLocked(std::string name, ExprPtr expr, bool evict_for_room);
   Result<std::shared_ptr<const Relation>> ReadLocked(std::string_view name,
                                                      ExecContext* ctx);
-  Result<std::size_t> BuildNode(View& view, const ExprPtr& expr);
   Status RebuildView(View& view, ExecContext* ctx);
   /// Propagates the view's coalesced net delta through its plan. Non-OK =
   /// a governance stop from `ctx`; the view was left cold.

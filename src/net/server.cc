@@ -724,7 +724,8 @@ Response Server::HandleQuery(Tenant& tenant, const Request& request,
   Result<Database> database = EncodeInstance(state);
   if (!database.ok()) return ErrorResponse(database.status());
 
-  Result<Relation> result = Evaluate(*query, *database, ctx);
+  Result<Relation> result =
+      Evaluate(*query, *database, ExecOptions{.ctx = &ctx});
   if (!result.ok()) return ErrorResponse(result.status());
 
   Response response = OkResponse();

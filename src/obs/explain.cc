@@ -12,6 +12,7 @@
 #include "obs/json_escape.h"
 #include "objrel/encoding.h"
 #include "relational/evaluator.h"
+#include "relational/plan.h"
 #include "sql/engine.h"
 
 namespace setrec {
@@ -45,152 +46,105 @@ void AttachStats(
   node.backend = it->second.backend;
 }
 
-/// True when the node is a σ-chain whose bottom is a Cartesian product —
-/// exactly the shape the evaluator fuses into a hash join.
-bool IsJoinChain(const Expr& expr) {
-  if (expr.op() != Expr::Op::kSelectEq && expr.op() != Expr::Op::kSelectNeq) {
-    return false;
-  }
-  const Expr* node = &expr;
-  while (node->op() == Expr::Op::kSelectEq ||
-         node->op() == Expr::Op::kSelectNeq) {
-    node = node->child().get();
-  }
-  return node->op() == Expr::Op::kProduct;
+std::string RenderCond(const Plan::Cond& c) {
+  return c.origin->attr_a() + (c.equal ? "=" : "≠") + c.origin->attr_b();
 }
 
-Result<PlanNode> BuildPlan(
-    const ExprPtr& expr, const Catalog& catalog,
-    const std::unordered_map<const Expr*, EvalNodeStats>* stats);
-
-/// Renders the fused hash join for a σ-chain over a product, classifying
-/// the chain's conditions exactly as the evaluator does: cross equalities
-/// are hash keys, per-side conditions are build/probe filters, and cross
-/// non-equalities are residual filters applied per match.
-Result<PlanNode> BuildJoinPlan(
-    const ExprPtr& top, const Catalog& catalog,
-    const std::unordered_map<const Expr*, EvalNodeStats>* stats) {
-  struct Condition {
-    bool equal;
-    std::string a, b;
-  };
-  std::vector<Condition> conditions;
-  const Expr* node = top.get();
-  while (node->op() == Expr::Op::kSelectEq ||
-         node->op() == Expr::Op::kSelectNeq) {
-    conditions.push_back(Condition{node->op() == Expr::Op::kSelectEq,
-                                   node->attr_a(), node->attr_b()});
-    node = node->child().get();
+std::string RenderConds(const std::vector<Plan::Cond>& conds) {
+  std::string out;
+  for (const Plan::Cond& c : conds) {
+    if (!out.empty()) out += ", ";
+    out += RenderCond(c);
   }
-  SETREC_ASSIGN_OR_RETURN(RelationScheme left_scheme,
-                          InferScheme(*node->left(), catalog));
-  SETREC_ASSIGN_OR_RETURN(RelationScheme scheme, InferScheme(*top, catalog));
-
-  std::string keys, left_filters, right_filters, residual;
-  auto append = [](std::string& to, const Condition& c) {
-    if (!to.empty()) to += ", ";
-    to += c.a + (c.equal ? "=" : "≠") + c.b;
-  };
-  for (const Condition& c : conditions) {
-    const bool a_left = left_scheme.HasAttribute(c.a);
-    const bool b_left = left_scheme.HasAttribute(c.b);
-    if (a_left && b_left) {
-      append(left_filters, c);
-    } else if (!a_left && !b_left) {
-      append(right_filters, c);
-    } else if (c.equal) {
-      append(keys, c);
-    } else {
-      append(residual, c);
-    }
-  }
-
-  PlanNode join;
-  join.op = "HashJoin";
-  join.detail = "keys: " + (keys.empty() ? std::string("none (cross)") : keys);
-  if (!left_filters.empty()) join.detail += "; probe filter: " + left_filters;
-  if (!right_filters.empty()) join.detail += "; build filter: " + right_filters;
-  if (!residual.empty()) join.detail += "; residual: " + residual;
-  join.scheme = RenderScheme(scheme);
-  // The evaluator records the whole chain's stats under the chain's top
-  // node; the collapsed operators in between never evaluate separately.
-  AttachStats(join, top.get(), stats);
-  SETREC_ASSIGN_OR_RETURN(PlanNode left, BuildPlan(node->left(), catalog, stats));
-  SETREC_ASSIGN_OR_RETURN(PlanNode right,
-                          BuildPlan(node->right(), catalog, stats));
-  join.children.push_back(std::move(left));
-  join.children.push_back(std::move(right));
-  return join;
+  return out;
 }
 
-Result<PlanNode> BuildPlan(
-    const ExprPtr& expr, const Catalog& catalog,
+/// Renders the operator tree under `node` (a shared plan node renders once
+/// per reference, as the tree the reader follows). A fused σ-chain renders
+/// as the single HashJoin it executes as, with the plan's classification of
+/// its conditions: cross equalities are hash keys, per-side conditions are
+/// build/probe filters, and cross non-equalities are residual filters
+/// applied per match.
+PlanNode RenderPlan(
+    const Plan& plan, const Plan::Node& node,
     const std::unordered_map<const Expr*, EvalNodeStats>* stats) {
-  if (IsJoinChain(*expr)) return BuildJoinPlan(expr, catalog, stats);
-
-  PlanNode node;
-  SETREC_ASSIGN_OR_RETURN(RelationScheme scheme, InferScheme(*expr, catalog));
-  node.scheme = RenderScheme(scheme);
-  AttachStats(node, expr.get(), stats);
-  switch (expr->op()) {
-    case Expr::Op::kRelation:
-      node.op = "Scan " + expr->relation_name();
-      return node;
-    case Expr::Op::kUnion:
-      node.op = "Union";
+  PlanNode out;
+  out.scheme = RenderScheme(node.scheme);
+  // Executors record a fused chain's stats under the chain's top node; the
+  // collapsed operators in between never evaluate separately.
+  AttachStats(out, node.origin, stats);
+  const Expr& e = *node.origin;
+  switch (node.kind) {
+    case Plan::Kind::kScan:
+      out.op = "Scan " + e.relation_name();
+      return out;
+    case Plan::Kind::kUnion:
+      out.op = "Union";
       break;
-    case Expr::Op::kDifference:
-      node.op = "Difference";
+    case Plan::Kind::kDifference:
+      out.op = "Difference";
       break;
-    case Expr::Op::kProduct: {
-      node.op = "Product";
-      for (const ExprPtr& side : {expr->left(), expr->right()}) {
-        if (side->op() == Expr::Op::kProject && side->projection().empty()) {
-          node.detail = "π∅-guarded";  // evaluator skips the other side
-          break;                       // when the guard side is empty
-        }
+    case Plan::Kind::kProduct:
+      out.op = "Product";
+      // Executors skip the other side when the guard side is empty.
+      if (node.guard != Plan::Guard::kNone) out.detail = "π∅-guarded";
+      break;
+    case Plan::Kind::kJoin: {
+      out.op = "HashJoin";
+      const std::string keys = RenderConds(node.keys);
+      out.detail = "keys: " + (keys.empty() ? "none (cross)" : keys);
+      if (!node.probe_filters.empty()) {
+        out.detail += "; probe filter: " + RenderConds(node.probe_filters);
+      }
+      if (!node.build_filters.empty()) {
+        out.detail += "; build filter: " + RenderConds(node.build_filters);
+      }
+      if (!node.residuals.empty()) {
+        out.detail += "; residual: " + RenderConds(node.residuals);
       }
       break;
     }
-    case Expr::Op::kSelectEq:
-    case Expr::Op::kSelectNeq: {
-      node.op = "Select";
-      node.detail = expr->attr_a() +
-                    (expr->op() == Expr::Op::kSelectEq ? "=" : "≠") +
-                    expr->attr_b();
+    case Plan::Kind::kFilter:
+      out.op = "Select";
+      out.detail = RenderCond(node.filter);
       break;
-    }
-    case Expr::Op::kProject: {
-      node.op = "Project";
-      if (expr->projection().empty()) {
-        node.detail = "∅";
+    case Plan::Kind::kProject:
+      out.op = "Project";
+      if (e.projection().empty()) {
+        out.detail = "∅";
       } else {
-        for (const std::string& a : expr->projection()) {
-          if (!node.detail.empty()) node.detail += ", ";
-          node.detail += a;
+        for (const std::string& a : e.projection()) {
+          if (!out.detail.empty()) out.detail += ", ";
+          out.detail += a;
         }
       }
       break;
-    }
-    case Expr::Op::kRename:
-      node.op = "Rename";
-      node.detail = expr->rename_from() + "→" + expr->rename_to();
+    case Plan::Kind::kRename:
+      out.op = "Rename";
+      out.detail = e.rename_from() + "→" + e.rename_to();
       break;
   }
-  if (expr->op() == Expr::Op::kUnion || expr->op() == Expr::Op::kDifference ||
-      expr->op() == Expr::Op::kProduct) {
-    SETREC_ASSIGN_OR_RETURN(PlanNode left,
-                            BuildPlan(expr->left(), catalog, stats));
-    SETREC_ASSIGN_OR_RETURN(PlanNode right,
-                            BuildPlan(expr->right(), catalog, stats));
-    node.children.push_back(std::move(left));
-    node.children.push_back(std::move(right));
-  } else {
-    SETREC_ASSIGN_OR_RETURN(PlanNode child,
-                            BuildPlan(expr->child(), catalog, stats));
-    node.children.push_back(std::move(child));
+  out.children.push_back(RenderPlan(plan, plan.node(node.left), stats));
+  switch (node.kind) {
+    case Plan::Kind::kUnion:
+    case Plan::Kind::kDifference:
+    case Plan::Kind::kProduct:
+    case Plan::Kind::kJoin:
+      out.children.push_back(RenderPlan(plan, plan.node(node.right), stats));
+      break;
+    default:
+      break;
   }
-  return node;
+  return out;
+}
+
+/// Plans `expr` against `schemes` (a Catalog or a Database) and renders it.
+template <typename Schemes>
+Result<PlanNode> BuildPlan(
+    const ExprPtr& expr, const Schemes& schemes,
+    const std::unordered_map<const Expr*, EvalNodeStats>* stats) {
+  SETREC_ASSIGN_OR_RETURN(Plan plan, Plan::Build(*expr, schemes));
+  return RenderPlan(plan, plan.root(), stats);
 }
 
 std::string FormatNs(std::uint64_t ns) {
@@ -243,17 +197,6 @@ void NodeToJson(const PlanNode& node, std::ostream& out) {
     NodeToJson(node.children[i], out);
   }
   out << "]}";
-}
-
-/// A catalog over the database's actual relations (ANALYZE type-checks
-/// against the data it ran on, not a separate schema).
-Catalog DatabaseCatalog(const Database& database) {
-  Catalog catalog;
-  for (const std::string& name : database.Names()) {
-    Result<const Relation*> rel = database.Find(name);
-    if (rel.ok()) (void)catalog.AddRelation(name, (*rel)->scheme());
-  }
-  return catalog;
 }
 
 std::uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
@@ -346,11 +289,10 @@ Result<ExplainPlan> ExplainExpressionAnalyze(const ExprPtr& expr,
   evaluator.set_node_stats(&stats);
   SETREC_RETURN_IF_ERROR(evaluator.Eval(expr).status());
 
-  const Catalog catalog = DatabaseCatalog(database);
   ExplainPlan plan;
   plan.title = "EXPLAIN ANALYZE: " + ExprToString(*expr);
   plan.analyzed = true;
-  SETREC_ASSIGN_OR_RETURN(PlanNode root, BuildPlan(expr, catalog, &stats));
+  SETREC_ASSIGN_OR_RETURN(PlanNode root, BuildPlan(expr, database, &stats));
   plan.roots.push_back(std::move(root));
   plan.counters = LogicalCounters(*scope.ctx().metrics());
   return plan;

@@ -10,6 +10,7 @@
 #include "core/exec_options.h"
 #include "core/thread_pool.h"
 #include "relational/expression.h"
+#include "relational/plan.h"
 #include "relational/relation.h"
 
 namespace setrec {
@@ -80,10 +81,10 @@ class Evaluator {
   // member is incomplete here.
   ~Evaluator();
 
-  /// Evaluates `expr`. Scheme checks are performed on the fly against the
-  /// actual relations, so a standalone catalog is not required here.
-  /// Returns a copy of the memoized result; callers that only read should
-  /// prefer EvalShared.
+  /// Evaluates `expr`: plans it (Plan::Build against the bound database,
+  /// so type errors are InferScheme's and surface before any work) and
+  /// executes the plan. Returns a copy of the memoized result; callers that
+  /// only read should prefer EvalShared.
   Result<Relation> Eval(const ExprPtr& expr);
 
   /// Evaluates `expr` and returns the memoized result behind shared
@@ -110,31 +111,27 @@ class Evaluator {
   ExecBackend backend() const { return backend_; }
 
  private:
-  Result<Relation> EvalUncached(const Expr& expr);
-  Result<std::shared_ptr<const Relation>> EvalSharedUncached(const Expr& expr);
+  /// Memoized execution of one plan node, keyed by its origin expression.
+  Result<std::shared_ptr<const Relation>> Exec(const Plan& plan,
+                                               const Plan::Node& node);
+  Result<std::shared_ptr<const Relation>> ExecUncached(const Plan& plan,
+                                                       const Plan::Node& node);
+  Result<Relation> Operate(const Plan& plan, const Plan::Node& node);
 
-  /// Join fusion: evaluates a chain of selections over a Cartesian product
-  /// as a hash join instead of materializing the product. The paper's
-  /// expressions are built almost exclusively from theta-joins
-  /// (σ_{aθb}(l × r)), and the par(E) rewriting multiplies every relation
-  /// by π_self(rec), so without fusion intermediate results grow with the
-  /// square of the receiver-set size.
-  Result<Relation> EvalSelectionChain(const Expr& top);
+  /// A fused σ-chain over a product, executed as a hash join instead of
+  /// materializing the product. The paper's expressions are built almost
+  /// exclusively from theta-joins (σ_{aθb}(l × r)), and the par(E)
+  /// rewriting multiplies every relation by π_self(rec), so without fusion
+  /// intermediate results grow with the square of the receiver-set size.
+  Result<Relation> ExecJoin(const Plan& plan, const Plan::Node& node);
 
-  /// A lazily built catalog over the bound database's relations, used for
-  /// type-only scheme inference (the guard short-circuit needs the scheme
-  /// of a subexpression whose data it can skip). Fails if any relation's
-  /// scheme cannot be registered (e.g. duplicate names with conflicting
-  /// schemes) instead of silently serving a partial catalog.
-  Result<const Catalog*> DatabaseCatalog();
-
-  /// Whether `expr` should run on the compiled vectorized backend. Forced
+  /// Whether `plan` should run on the compiled vectorized backend. Forced
   /// backends answer directly (kVectorized still requires coverage); kAuto
   /// latches its cost decision on the first call — a pool with real
   /// parallelism keeps the interpreter (its partitioned probe would be
-  /// forfeited), otherwise vectorization wins once the referenced inputs
-  /// reach kAutoVectorizeInputRows.
-  bool UseVectorized(const Expr& expr);
+  /// forfeited), otherwise vectorization wins once the plan's base
+  /// relations hold kAutoVectorizeInputRows rows.
+  bool UseVectorized(const Plan& plan);
 
   const Database* database_;
   std::optional<ExecScope> scope_;
@@ -143,7 +140,6 @@ class Evaluator {
   ExecBackend backend_ = ExecBackend::kAuto;
   std::optional<bool> auto_vectorize_;  // kAuto decision, latched
   std::unique_ptr<vectorized::Engine> engine_;  // lazily built
-  std::optional<Catalog> catalog_;
   std::unordered_map<const Expr*, std::shared_ptr<const Relation>> cache_;
   std::unordered_map<const Expr*, EvalNodeStats>* node_stats_ = nullptr;
 };
@@ -154,11 +150,6 @@ class Evaluator {
 /// permissive, unobserved, single-threaded, kAuto backend).
 Result<Relation> Evaluate(const ExprPtr& expr, const Database& database,
                           const ExecOptions& options = {});
-
-/// Compatibility shim for borrowed-context callers; equivalent to passing
-/// ExecOptions{.ctx = &ctx}. Prefer the ExecOptions form.
-Result<Relation> Evaluate(const ExprPtr& expr, const Database& database,
-                          ExecContext& ctx);
 
 }  // namespace setrec
 

@@ -72,6 +72,7 @@ class Expr {
 bool IsPositive(const Expr& expr);
 
 /// Names of all relations referenced by the expression, sorted and deduped.
+/// Visits each shared subterm once.
 std::vector<std::string> ReferencedRelations(const Expr& expr);
 
 /// Validates the expression against `catalog` and computes its result
@@ -79,6 +80,8 @@ std::vector<std::string> ReferencedRelations(const Expr& expr);
 /// attribute names, selections need both attributes present with equal
 /// domains, projection needs distinct present attributes, renaming needs a
 /// present source and a fresh target (domains are preserved automatically).
+/// This is the root scheme of Plan::Build (relational/plan.h), which every
+/// executor plans with, so evaluation fails exactly where this does.
 Result<RelationScheme> InferScheme(const Expr& expr, const Catalog& catalog);
 
 /// Replaces every reference to relation `name` by `replacement` (used by the

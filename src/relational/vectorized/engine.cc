@@ -4,7 +4,6 @@
 #include <chrono>
 #include <numeric>
 #include <optional>
-#include <set>
 #include <unordered_set>
 
 #include "relational/vectorized/kernels.h"
@@ -16,206 +15,118 @@ namespace {
 using Op = Insn::Op;
 using Clock = std::chrono::steady_clock;
 
-bool IsGuardShaped(const Expr& e) {
-  return e.op() == Expr::Op::kProject && e.projection().empty();
-}
-
 std::vector<std::uint32_t> AllColumns(std::size_t arity) {
   std::vector<std::uint32_t> cols(arity);
   std::iota(cols.begin(), cols.end(), 0);
   return cols;
 }
 
-/// Lowers one expression DAG into a flat program. The compiler walks the DAG
-/// in the interpreter's exact evaluation order and performs the same checks
-/// with the same error strings, so an ill-typed expression fails identically
-/// under either backend (the engine merely fails before charging budgets —
-/// the documented divergence). Every repeated reference to a node becomes a
-/// kMemoLoad, never a raw register reuse: a register defined inside a block
-/// that an enclosing memo hit skipped would be stale, while the memo is
-/// guaranteed populated for every non-conditional node emitted earlier.
+std::vector<std::uint32_t> Narrow(const std::vector<std::size_t>& cols) {
+  return {cols.begin(), cols.end()};
+}
+
+/// Lowers one plan into a flat program. The compiler walks the plan in the
+/// interpreter's exact evaluation order. Every repeated reference to a node
+/// becomes a kMemoLoad, never a raw register reuse: a register defined
+/// inside a block that an enclosing memo hit skipped would be stale, while
+/// the memo is guaranteed populated for every non-conditional node emitted
+/// earlier.
 class Compiler {
  public:
-  explicit Compiler(const Database* database) : database_(database) {}
+  explicit Compiler(Program& program) : program_(program) {}
 
-  Result<Program> Compile(const ExprPtr& root) {
-    SETREC_RETURN_IF_ERROR(Emit(root).status());
-    Program program;
-    program.root = root;
-    program.code = std::move(code_);
-    program.num_regs = num_regs_;
-    return program;
-  }
+  void Compile() { Emit(program_.plan.root()); }
 
  private:
-  std::uint32_t NewReg() { return num_regs_++; }
-
-  std::size_t Push(Insn in) {
-    code_.push_back(std::move(in));
-    return code_.size() - 1;
+  const Plan::Node& Input(std::size_t i) const {
+    return program_.plan.node(i);
   }
 
-  /// Emits the block computing `e` and returns its result register. The
-  /// node's scheme is recorded in schemes_ as a side effect.
-  Result<std::uint32_t> Emit(const ExprPtr& e) {
-    const Expr* n = e.get();
-    if (available_.contains(n)) {
+  std::uint32_t NewReg() { return program_.num_regs++; }
+
+  std::size_t Push(Insn in) {
+    program_.code.push_back(std::move(in));
+    return program_.code.size() - 1;
+  }
+
+  /// Pushes an instruction of `op` for `node`, writing `dst` from inputs
+  /// `a` and `b`.
+  std::size_t Push(Op op, const Plan::Node* node, std::uint32_t dst,
+                   std::uint32_t a = 0, std::uint32_t b = 0) {
+    Insn in;
+    in.op = op;
+    in.node = node;
+    in.dst = dst;
+    in.a = a;
+    in.b = b;
+    return Push(std::move(in));
+  }
+
+  /// Emits the block computing `n` and returns its result register.
+  std::uint32_t Emit(const Plan::Node& n) {
+    if (available_.contains(&n)) {
       // Already computed unconditionally earlier in this program: at
       // runtime the memo provably holds it (a skipped ancestor implies the
       // ancestor's own memo hit, which implies this entry was stored on the
       // run that populated the ancestor). Mirrors an interpreter cache hit.
-      Insn load;
-      load.op = Op::kMemoLoad;
-      load.origin = n;
-      load.dst = NewReg();
-      const std::uint32_t reg = load.dst;
-      Push(std::move(load));
+      const std::uint32_t reg = NewReg();
+      Push(Op::kMemoLoad, &n, reg);
       return reg;
     }
     const std::uint32_t reg = NewReg();
-    Insn check;
-    check.op = Op::kMemoCheck;
-    check.origin = n;
-    check.dst = reg;
-    const std::size_t check_idx = Push(std::move(check));
-    RelationScheme scheme;
-    switch (n->op()) {
-      case Expr::Op::kRelation: {
-        SETREC_ASSIGN_OR_RETURN(const Relation* rel,
-                                database_->Find(n->relation_name()));
-        scheme = rel->scheme();
-        Insn in;
-        in.op = Op::kLoad;
-        in.origin = n;
-        in.dst = reg;
-        in.name = n->relation_name();
-        in.scheme = scheme;
-        Push(std::move(in));
+    const std::size_t check_idx = Push(Op::kMemoCheck, &n, reg);
+    switch (n.kind) {
+      case Plan::Kind::kScan:
+        Push(Op::kLoad, &n, reg);
+        break;
+      case Plan::Kind::kUnion:
+      case Plan::Kind::kDifference: {
+        const std::uint32_t l = Emit(Input(n.left));
+        const std::uint32_t r = Emit(Input(n.right));
+        Push(n.kind == Plan::Kind::kUnion ? Op::kUnion : Op::kDifference, &n,
+             reg, l, r);
         break;
       }
-      case Expr::Op::kUnion:
-      case Expr::Op::kDifference: {
-        SETREC_ASSIGN_OR_RETURN(std::uint32_t l, Emit(n->left()));
-        SETREC_ASSIGN_OR_RETURN(std::uint32_t r, Emit(n->right()));
-        const RelationScheme& ls = schemes_.at(n->left().get());
-        const RelationScheme& rs = schemes_.at(n->right().get());
-        if (!(ls == rs)) {
-          return Status::InvalidArgument(
-              "union/difference operands must have identical schemes");
-        }
-        scheme = ls;
-        Insn in;
-        in.op = n->op() == Expr::Op::kUnion ? Op::kUnion : Op::kDifference;
-        in.origin = n;
-        in.dst = reg;
-        in.a = l;
-        in.b = r;
-        in.scheme = scheme;
-        Push(std::move(in));
+      case Plan::Kind::kProduct:
+        EmitProduct(n, reg);
         break;
-      }
-      case Expr::Op::kProduct: {
-        SETREC_ASSIGN_OR_RETURN(scheme, EmitProduct(e, reg));
+      case Plan::Kind::kFilter:
+        Push(Op::kSelect, &n, reg, Emit(Input(n.left)));
         break;
-      }
-      case Expr::Op::kSelectEq:
-      case Expr::Op::kSelectNeq: {
-        const Expr* bottom = n;
-        while (bottom->op() == Expr::Op::kSelectEq ||
-               bottom->op() == Expr::Op::kSelectNeq) {
-          bottom = bottom->child().get();
-        }
-        if (bottom->op() == Expr::Op::kProduct) {
-          SETREC_ASSIGN_OR_RETURN(scheme, EmitChain(e, reg));
-          break;
-        }
-        SETREC_ASSIGN_OR_RETURN(std::uint32_t c, Emit(n->child()));
-        const RelationScheme& cs = schemes_.at(n->child().get());
-        SETREC_ASSIGN_OR_RETURN(std::size_t ia, cs.IndexOf(n->attr_a()));
-        SETREC_ASSIGN_OR_RETURN(std::size_t ib, cs.IndexOf(n->attr_b()));
-        if (cs.attribute(ia).domain != cs.attribute(ib).domain) {
-          return Status::InvalidArgument(
-              "selection compares attributes of different domains");
-        }
-        scheme = cs;
-        Insn in;
-        in.op = Op::kSelect;
-        in.origin = n;
-        in.dst = reg;
-        in.a = c;
-        in.want_equal = n->op() == Expr::Op::kSelectEq;
-        in.ia = static_cast<std::uint32_t>(ia);
-        in.ib = static_cast<std::uint32_t>(ib);
-        in.scheme = scheme;
-        Push(std::move(in));
-        break;
-      }
-      case Expr::Op::kProject: {
-        SETREC_ASSIGN_OR_RETURN(std::uint32_t c, Emit(n->child()));
-        const RelationScheme& cs = schemes_.at(n->child().get());
-        std::vector<std::uint32_t> cols;
-        std::vector<Attribute> attrs;
-        std::set<std::string> seen;
-        for (const std::string& name : n->projection()) {
-          if (!seen.insert(name).second) {
-            return Status::InvalidArgument("duplicate projection attribute " +
-                                           name);
-          }
-          SETREC_ASSIGN_OR_RETURN(std::size_t i, cs.IndexOf(name));
-          cols.push_back(static_cast<std::uint32_t>(i));
-          attrs.push_back(cs.attribute(i));
-        }
-        SETREC_ASSIGN_OR_RETURN(scheme, RelationScheme::Make(std::move(attrs)));
+      case Plan::Kind::kProject: {
         Insn in;
         in.op = Op::kProject;
-        in.origin = n;
+        in.node = &n;
         in.dst = reg;
-        in.a = c;
-        in.cols = std::move(cols);
-        in.scheme = scheme;
+        in.a = Emit(Input(n.left));
+        in.cols = Narrow(n.columns);
         Push(std::move(in));
         break;
       }
-      case Expr::Op::kRename: {
-        SETREC_ASSIGN_OR_RETURN(std::uint32_t c, Emit(n->child()));
-        const RelationScheme& cs = schemes_.at(n->child().get());
-        SETREC_ASSIGN_OR_RETURN(std::size_t i, cs.IndexOf(n->rename_from()));
-        if (cs.HasAttribute(n->rename_to())) {
-          return Status::InvalidArgument("rename target attribute " +
-                                         n->rename_to() + " already present");
-        }
-        std::vector<Attribute> attrs = cs.attributes();
-        attrs[i].name = n->rename_to();
-        SETREC_ASSIGN_OR_RETURN(scheme, RelationScheme::Make(std::move(attrs)));
-        Insn in;
-        in.op = Op::kRename;
-        in.origin = n;
-        in.dst = reg;
-        in.a = c;
-        in.scheme = scheme;
-        Push(std::move(in));
+      case Plan::Kind::kRename:
+        Push(Op::kRename, &n, reg, Emit(Input(n.left)));
+        break;
+      case Plan::Kind::kJoin: {
+        // The whole σ-chain is one kHashJoin owned by the chain's top node:
+        // interior selections and the product never become blocks (no memo
+        // entries, no stats), exactly as the interpreter executes it.
+        Insn join;
+        join.op = Op::kHashJoin;
+        join.node = &n;
+        join.dst = reg;
+        join.a = Emit(Input(n.left));
+        join.b = Emit(Input(n.right));
+        join.left_keys = Narrow(n.left_key);
+        join.right_keys = Narrow(n.right_key);
+        Push(std::move(join));
         break;
       }
     }
-    code_[check_idx].target = static_cast<std::uint32_t>(code_.size());
-    available_.insert(n);
-    if (!regions_.empty()) regions_.back().push_back(n);
-    schemes_.insert_or_assign(n, scheme);
+    program_.code[check_idx].target =
+        static_cast<std::uint32_t>(program_.code.size());
+    available_.insert(&n);
+    if (!regions_.empty()) regions_.back().push_back(&n);
     return reg;
-  }
-
-  /// Product scheme in the interpreter's order, with its error string.
-  Result<RelationScheme> ProductScheme(const RelationScheme& ls,
-                                       const RelationScheme& rs) {
-    std::vector<Attribute> attrs = ls.attributes();
-    for (const Attribute& a : rs.attributes()) {
-      if (ls.HasAttribute(a.name)) {
-        return Status::InvalidArgument(
-            "product operands share attribute name " + a.name);
-      }
-      attrs.push_back(a);
-    }
-    return RelationScheme::Make(std::move(attrs));
   }
 
   /// Bare product: lowers the interpreter's π_∅ guard short-circuit as a
@@ -225,163 +136,66 @@ class Compiler {
   /// branch closes (a later reference re-emits a full, memo-checked block —
   /// which at runtime replays exactly the interpreter's first-eval or
   /// cache-hit behavior for that node).
-  Result<RelationScheme> EmitProduct(const ExprPtr& e, std::uint32_t reg) {
-    const Expr* n = e.get();
-    const bool left_guard = IsGuardShaped(*n->left());
-    const bool right_guard = !left_guard && IsGuardShaped(*n->right());
-    const bool guarded = left_guard || right_guard;
+  void EmitProduct(const Plan::Node& n, std::uint32_t reg) {
+    const bool guarded = n.guard != Plan::Guard::kNone;
     std::size_t jie_idx = 0;
     if (guarded) {
-      const ExprPtr& guard = left_guard ? n->left() : n->right();
-      SETREC_ASSIGN_OR_RETURN(std::uint32_t greg, Emit(guard));
-      Insn jie;
-      jie.op = Op::kJumpIfEmpty;
-      jie.a = greg;
-      jie_idx = Push(std::move(jie));
+      const std::uint32_t greg = Emit(
+          Input(n.guard == Plan::Guard::kLeft ? n.left : n.right));
+      jie_idx = Push(Op::kJumpIfEmpty, nullptr, 0, greg);
       regions_.emplace_back();
     }
     // Full-evaluation path, in the interpreter's left-then-right order; the
     // guard side resolves to a kMemoLoad (its block ran just above), which
-    // is precisely the interpreter's extra EvalShared cache hit.
-    SETREC_ASSIGN_OR_RETURN(std::uint32_t l, Emit(n->left()));
-    SETREC_ASSIGN_OR_RETURN(std::uint32_t r, Emit(n->right()));
-    SETREC_ASSIGN_OR_RETURN(
-        RelationScheme scheme,
-        ProductScheme(schemes_.at(n->left().get()),
-                      schemes_.at(n->right().get())));
-    Insn prod;
-    prod.op = Op::kProduct;
-    prod.origin = n;
-    prod.dst = reg;
-    prod.a = l;
-    prod.b = r;
-    prod.scheme = scheme;
-    Push(std::move(prod));
+    // is precisely the interpreter's extra cache hit.
+    const std::uint32_t l = Emit(Input(n.left));
+    const std::uint32_t r = Emit(Input(n.right));
+    Push(Op::kProduct, &n, reg, l, r);
     if (guarded) {
-      Insn jmp;
-      jmp.op = Op::kJump;
-      const std::size_t jmp_idx = Push(std::move(jmp));
-      for (const Expr* x : regions_.back()) available_.erase(x);
+      const std::size_t jmp_idx = Push(Op::kJump, nullptr, 0);
+      for (const Plan::Node* x : regions_.back()) available_.erase(x);
       regions_.pop_back();
-      code_[jie_idx].target = static_cast<std::uint32_t>(code_.size());
+      program_.code[jie_idx].target =
+          static_cast<std::uint32_t>(program_.code.size());
       // Guard empty: a type-only result. The guard contributes no
       // attributes, so the product scheme *is* the other side's scheme.
-      Insn mk;
-      mk.op = Op::kMakeEmpty;
-      mk.origin = n;
-      mk.dst = reg;
-      mk.scheme = scheme;
-      Push(std::move(mk));
-      code_[jmp_idx].target = static_cast<std::uint32_t>(code_.size());
+      Push(Op::kMakeEmpty, &n, reg);
+      program_.code[jmp_idx].target =
+          static_cast<std::uint32_t>(program_.code.size());
     }
-    return scheme;
   }
 
-  /// σ-chain over a product: the whole chain lowers to one kHashJoin owned
-  /// by the top node. Interior selections and the product never become
-  /// blocks (no memo entries, no stats), matching EvalSelectionChain.
-  Result<RelationScheme> EmitChain(const ExprPtr& e, std::uint32_t reg) {
-    struct Cond {
-      bool equal;
-      const std::string* a;
-      const std::string* b;
-    };
-    std::vector<Cond> conditions;
-    const Expr* node = e.get();
-    while (node->op() == Expr::Op::kSelectEq ||
-           node->op() == Expr::Op::kSelectNeq) {
-      conditions.push_back(Cond{node->op() == Expr::Op::kSelectEq,
-                                &node->attr_a(), &node->attr_b()});
-      node = node->child().get();
-    }
-    SETREC_ASSIGN_OR_RETURN(std::uint32_t l, Emit(node->left()));
-    SETREC_ASSIGN_OR_RETURN(std::uint32_t r, Emit(node->right()));
-    const RelationScheme& ls = schemes_.at(node->left().get());
-    SETREC_ASSIGN_OR_RETURN(
-        RelationScheme scheme,
-        ProductScheme(ls, schemes_.at(node->right().get())));
-    const std::size_t lw = ls.arity();
-    Insn join;
-    join.op = Op::kHashJoin;
-    join.origin = e.get();
-    join.dst = reg;
-    join.a = l;
-    join.b = r;
-    join.scheme = scheme;
-    for (const Cond& c : conditions) {
-      SETREC_ASSIGN_OR_RETURN(std::size_t ga, scheme.IndexOf(*c.a));
-      SETREC_ASSIGN_OR_RETURN(std::size_t gb, scheme.IndexOf(*c.b));
-      if (scheme.attribute(ga).domain != scheme.attribute(gb).domain) {
-        return Status::InvalidArgument(
-            "selection compares attributes of different domains");
-      }
-      Insn::JoinCond rc;
-      rc.equal = c.equal;
-      rc.a_left = ga < lw;
-      rc.b_left = gb < lw;
-      rc.ia = static_cast<std::uint32_t>(rc.a_left ? ga : ga - lw);
-      rc.ib = static_cast<std::uint32_t>(rc.b_left ? gb : gb - lw);
-      if (rc.a_left && rc.b_left) {
-        join.local_left.push_back(rc);
-      } else if (!rc.a_left && !rc.b_left) {
-        join.local_right.push_back(rc);
-      } else if (rc.equal) {
-        join.join_keys.emplace_back(rc.a_left ? rc.ia : rc.ib,
-                                    rc.a_left ? rc.ib : rc.ia);
-      } else {
-        join.cross.push_back(rc);
-      }
-    }
-    Push(std::move(join));
-    return scheme;
-  }
-
-  const Database* database_;
-  std::vector<Insn> code_;
-  std::uint32_t num_regs_ = 0;
-  std::unordered_map<const Expr*, RelationScheme> schemes_;
-  std::unordered_set<const Expr*> available_;
-  std::vector<std::vector<const Expr*>> regions_;
+  Program& program_;
+  std::unordered_set<const Plan::Node*> available_;
+  std::vector<std::vector<const Plan::Node*>> regions_;
 };
 
 }  // namespace
-
-bool Covers(const Expr& expr) {
-  switch (expr.op()) {
-    case Expr::Op::kRelation:
-      return true;
-    case Expr::Op::kUnion:
-    case Expr::Op::kDifference:
-    case Expr::Op::kProduct:
-      return Covers(*expr.left()) && Covers(*expr.right());
-    case Expr::Op::kSelectEq:
-    case Expr::Op::kSelectNeq:
-    case Expr::Op::kProject:
-    case Expr::Op::kRename:
-      return Covers(*expr.child());
-  }
-  return false;
-}
-
-std::size_t EstimatedInputRows(const Expr& expr, const Database& database) {
-  std::size_t total = 0;
-  for (const std::string& name : ReferencedRelations(expr)) {
-    Result<const Relation*> rel = database.Find(name);
-    if (rel.ok()) total += (*rel)->size();
-  }
-  return total;
-}
 
 Result<std::shared_ptr<const Relation>> Engine::Execute(
     const ExprPtr& root,
     std::unordered_map<const Expr*, EvalNodeStats>* stats) {
   auto pit = programs_.find(root.get());
+  if (pit != programs_.end()) return Run(pit->second, stats);
+  SETREC_ASSIGN_OR_RETURN(Plan plan, Plan::Build(*root, *database_));
+  return Execute(root, std::move(plan), stats);
+}
+
+Result<std::shared_ptr<const Relation>> Engine::Execute(
+    const ExprPtr& root, Plan plan,
+    std::unordered_map<const Expr*, EvalNodeStats>* stats) {
+  auto pit = programs_.find(root.get());
   if (pit == programs_.end()) {
-    Compiler compiler(database_);
-    SETREC_ASSIGN_OR_RETURN(Program program, compiler.Compile(root));
-    pit = programs_.emplace(root.get(), std::move(program)).first;
+    pit = programs_.emplace(root.get(), Program{root, std::move(plan), {}, 0})
+              .first;
+    Compiler(pit->second).Compile();
   }
-  const Program& program = pit->second;
+  return Run(pit->second, stats);
+}
+
+Result<std::shared_ptr<const Relation>> Engine::Run(
+    const Program& program,
+    std::unordered_map<const Expr*, EvalNodeStats>* stats) {
   join_stats_ = stats;
 
   std::vector<std::shared_ptr<const ColumnTable>> regs(program.num_regs);
@@ -401,12 +215,13 @@ Result<std::shared_ptr<const Relation>> Engine::Execute(
   };
   auto finish = [&](const Insn& in, std::shared_ptr<const ColumnTable> table,
                     std::shared_ptr<const Relation> rel) {
+    const Expr* origin = in.node->origin;
     regs[in.dst] = table;
     if (stats != nullptr) {
-      EvalNodeStats& s = (*stats)[in.origin];
+      EvalNodeStats& s = (*stats)[origin];
       s.rows = table->rows;
       s.backend = in.op == Op::kHashJoin ? "bytecode" : "vectorized";
-      if (!open.empty() && open.back().first == in.origin) {
+      if (!open.empty() && open.back().first == origin) {
         s.wall_ns += static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 Clock::now() - open.back().second)
@@ -414,7 +229,7 @@ Result<std::shared_ptr<const Relation>> Engine::Execute(
         open.pop_back();
       }
     }
-    memo_[in.origin] = MemoEntry{std::move(table), std::move(rel)};
+    memo_[origin] = MemoEntry{std::move(table), std::move(rel)};
   };
 
   std::size_t pc = 0;
@@ -422,23 +237,25 @@ Result<std::shared_ptr<const Relation>> Engine::Execute(
     const Insn& in = program.code[pc];
     switch (in.op) {
       case Op::kMemoCheck: {
-        auto m = memo_.find(in.origin);
+        const Expr* origin = in.node->origin;
+        auto m = memo_.find(origin);
         if (m != memo_.end()) {
           regs[in.dst] = m->second.table;
-          if (stats != nullptr) ++(*stats)[in.origin].cache_hits;
+          if (stats != nullptr) ++(*stats)[origin].cache_hits;
           pc = in.target;
           continue;
         }
-        if (stats != nullptr) open.emplace_back(in.origin, Clock::now());
+        if (stats != nullptr) open.emplace_back(origin, Clock::now());
         break;
       }
       case Op::kMemoLoad: {
-        auto m = memo_.find(in.origin);
+        const Expr* origin = in.node->origin;
+        auto m = memo_.find(origin);
         if (m == memo_.end()) {
           return fail(Status::Internal("vectorized memo missing an operand"));
         }
         regs[in.dst] = m->second.table;
-        if (stats != nullptr) ++(*stats)[in.origin].cache_hits;
+        if (stats != nullptr) ++(*stats)[origin].cache_hits;
         break;
       }
       case Op::kJump:
@@ -451,16 +268,17 @@ Result<std::shared_ptr<const Relation>> Engine::Execute(
         }
         break;
       case Op::kLoad: {
+        const std::string& name = in.node->origin->relation_name();
         Result<std::shared_ptr<const Relation>> rel =
-            database_->FindShared(in.name);
+            database_->FindShared(name);
         if (!rel.ok()) return fail(rel.status());
         std::shared_ptr<const ColumnTable> table;
-        auto lit = loads_.find(in.name);
+        auto lit = loads_.find(name);
         if (lit != loads_.end()) {
           table = lit->second;
         } else {
           table = std::make_shared<const ColumnTable>(FromRelation(**rel));
-          loads_.emplace(in.name, table);
+          loads_.emplace(name, table);
         }
         finish(in, std::move(table), std::move(*rel));
         break;
@@ -491,11 +309,11 @@ Result<ColumnTable> Engine::RunOp(
     const std::vector<std::shared_ptr<const ColumnTable>>& regs) {
   switch (in.op) {
     case Op::kMakeEmpty:
-      return MakeTable(in.scheme);
+      return MakeTable(in.node->scheme);
     case Op::kRename: {
       const ColumnTable& c = *regs[in.a];
       ColumnTable out;
-      out.scheme = in.scheme;
+      out.scheme = in.node->scheme;
       out.columns = c.columns;
       out.rows = c.rows;
       return out;
@@ -503,13 +321,15 @@ Result<ColumnTable> Engine::RunOp(
     case Op::kSelect: {
       const ColumnTable& c = *regs[in.a];
       std::vector<std::uint8_t> mask(c.rows, 1);
-      AndEqualityMask(c, in.ia, in.ib, in.want_equal, mask);
+      const Plan::Cond& f = in.node->filter;
+      AndEqualityMask(c, static_cast<std::uint32_t>(f.ia),
+                      static_cast<std::uint32_t>(f.ib), f.equal, mask);
       const std::vector<std::uint32_t> sel = MaskToSelection(mask);
-      return Gather(c, AllColumns(c.arity()), sel, in.scheme);
+      return Gather(c, AllColumns(c.arity()), sel, in.node->scheme);
     }
     case Op::kProject: {
       const ColumnTable& c = *regs[in.a];
-      ColumnTable out = MakeTable(in.scheme);
+      ColumnTable out = MakeTable(in.node->scheme);
       const std::vector<std::uint32_t> out_cols = AllColumns(out.arity());
       RowHashTable dedup(&out, out_cols);
       dedup.Reserve(c.rows);
@@ -532,7 +352,7 @@ Result<ColumnTable> Engine::RunOp(
       const ColumnTable& l = *regs[in.a];
       const ColumnTable& r = *regs[in.b];
       ColumnTable out;
-      out.scheme = in.scheme;
+      out.scheme = in.node->scheme;
       out.columns = l.columns;
       out.rows = l.rows;
       const std::vector<std::uint32_t> all = AllColumns(out.arity());
@@ -576,16 +396,16 @@ Result<ColumnTable> Engine::RunOp(
           sel.push_back(static_cast<std::uint32_t>(i));
         }
       }
-      return Gather(l, all, sel, in.scheme);
+      return Gather(l, all, sel, in.node->scheme);
     }
     case Op::kProduct: {
       const ColumnTable& l = *regs[in.a];
       const ColumnTable& r = *regs[in.b];
       const std::uint64_t tuple_bytes =
-          static_cast<std::uint64_t>(in.scheme.arity()) * sizeof(ObjectId);
+          static_cast<std::uint64_t>(in.node->scheme.arity()) * sizeof(ObjectId);
       TraceSpan span = StartSpan(*ctx_, "evaluator/product");
       MetricsRegistry* metrics = ctx_->metrics();
-      ColumnTable out = MakeTable(in.scheme);
+      ColumnTable out = MakeTable(in.node->scheme);
       const std::size_t la = l.arity(), ra = r.arity();
       for (std::size_t i = 0; i < l.rows; ++i) {
         std::size_t j = 0;
@@ -626,18 +446,21 @@ Result<ColumnTable> Engine::RunHashJoin(
     const std::vector<std::shared_ptr<const ColumnTable>>& regs) {
   const ColumnTable& left = *regs[in.a];
   const ColumnTable& right = *regs[in.b];
+  const Plan::Node& node = *in.node;
   TraceSpan join_span = StartSpan(*ctx_, "evaluator/join");
   MetricsRegistry* metrics = ctx_->metrics();
   const std::size_t la = left.arity(), ra = right.arity();
   const std::uint64_t tuple_bytes =
-      static_cast<std::uint64_t>(in.scheme.arity()) * sizeof(ObjectId);
-  std::vector<std::uint32_t> left_keys, right_keys;
-  left_keys.reserve(in.join_keys.size());
-  right_keys.reserve(in.join_keys.size());
-  for (const auto& [l, r] : in.join_keys) {
-    left_keys.push_back(l);
-    right_keys.push_back(r);
-  }
+      static_cast<std::uint64_t>(node.scheme.arity()) * sizeof(ObjectId);
+  const std::vector<std::uint32_t>& left_keys = in.left_keys;
+  const std::vector<std::uint32_t>& right_keys = in.right_keys;
+  auto filter = [](const ColumnTable& t, const std::vector<Plan::Cond>& conds,
+                   std::vector<std::uint8_t>& mask) {
+    for (const Plan::Cond& c : conds) {
+      AndEqualityMask(t, static_cast<std::uint32_t>(c.ia),
+                      static_cast<std::uint32_t>(c.ib), c.equal, mask);
+    }
+  };
 
   // Build: filter the right side with its local conditions, gather the
   // survivors into a dense build table, index it by the join keys. The
@@ -647,9 +470,7 @@ Result<ColumnTable> Engine::RunHashJoin(
   {
     TraceSpan build_span = StartSpan(*ctx_, "evaluator/join-build");
     std::vector<std::uint8_t> mask(right.rows, 1);
-    for (const Insn::JoinCond& c : in.local_right) {
-      AndEqualityMask(right, c.ia, c.ib, c.equal, mask);
-    }
+    filter(right, node.build_filters, mask);
     const std::vector<std::uint32_t> sel = MaskToSelection(mask);
     build = Gather(right, AllColumns(ra), sel, right.scheme);
     index.emplace(&build, right_keys);
@@ -663,23 +484,21 @@ Result<ColumnTable> Engine::RunHashJoin(
       metrics->engine.eval_join_build_rows.Add(build.rows);
     }
     if (join_stats_ != nullptr) {
-      (*join_stats_)[in.origin].build_rows += build.rows;
+      (*join_stats_)[node.origin].build_rows += build.rows;
     }
   }
 
   // Probe: every left row counts as a probe (worker- and backend-invariant);
   // key-matched pairs are charged in batches before residual cross
   // conditions run, exactly the interpreter's per-pair charging order.
-  ColumnTable out = MakeTable(in.scheme);
+  ColumnTable out = MakeTable(in.node->scheme);
   TraceSpan probe_span = StartSpan(*ctx_, "evaluator/join-probe");
   if (metrics != nullptr) metrics->engine.eval_join_probes.Add(left.rows);
   if (join_stats_ != nullptr) {
-    (*join_stats_)[in.origin].probe_rows += left.rows;
+    (*join_stats_)[node.origin].probe_rows += left.rows;
   }
   std::vector<std::uint8_t> lmask(left.rows, 1);
-  for (const Insn::JoinCond& c : in.local_left) {
-    AndEqualityMask(left, c.ia, c.ib, c.equal, lmask);
-  }
+  filter(left, node.probe_filters, lmask);
   std::vector<std::uint64_t> lh;
   HashRows(left, left_keys, lh);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
@@ -693,7 +512,7 @@ Result<ColumnTable> Engine::RunHashJoin(
     std::uint64_t kept = 0;
     for (const auto& [li, ri] : pairs) {
       bool ok = true;
-      for (const Insn::JoinCond& c : in.cross) {
+      for (const Plan::Cond& c : node.residuals) {
         const PackedValue va =
             c.a_left ? left.columns[c.ia][li] : build.columns[c.ia][ri];
         const PackedValue vb =

@@ -11,22 +11,11 @@
 #include "core/exec_context.h"
 #include "relational/evaluator.h"
 #include "relational/expression.h"
+#include "relational/plan.h"
 #include "relational/relation.h"
 #include "relational/vectorized/batch.h"
 
 namespace setrec::vectorized {
-
-/// True when every operator in `expr` has a vectorized implementation. All
-/// eight algebra operators are covered today; the predicate is the seam that
-/// lets future operators land interpreter-first and graduate later (the
-/// evaluator falls back per expression when this returns false).
-bool Covers(const Expr& expr);
-
-/// Sum of the sizes of the base relations `expr` references (unknown names
-/// count zero). The kAuto backend policy compares this against a threshold:
-/// transposing inputs into columns is a per-evaluation cost that only pays
-/// off once the batched kernels have enough rows to chew through.
-std::size_t EstimatedInputRows(const Expr& expr, const Database& database);
 
 /// One flat-bytecode instruction. A node's block is
 ///   kMemoCheck (hit: load result, count a cache hit, jump past the block)
@@ -41,45 +30,38 @@ struct Insn {
     kMemoLoad,    // dst = memo[origin] (must exist), ++hits
     kJump,        // pc = target
     kJumpIfEmpty, // if regs[a] has no rows: pc = target (π_∅ guards)
-    kLoad,        // dst = columnar form of base relation `name`
+    kLoad,        // dst = columnar form of the scanned base relation
     kUnion,       // dst = regs[a] ∪ regs[b]
     kDifference,  // dst = regs[a] − regs[b]
     kProduct,     // dst = regs[a] × regs[b] (row-budget charged)
-    kSelect,      // dst = σ_{ia θ ib}(regs[a])
+    kSelect,      // dst = σ_{filter}(regs[a])
     kProject,     // dst = π_{cols}(regs[a]), deduplicated
-    kRename,      // dst = regs[a] under `scheme`
+    kRename,      // dst = regs[a] under the node's scheme
     kHashJoin,    // dst = fused σ-chain over regs[a] × regs[b]
-    kMakeEmpty,   // dst = empty table over `scheme` (guard short-circuit)
-  };
-
-  /// One selection condition of a fused chain, resolved to side-local
-  /// column indices at compile time.
-  struct JoinCond {
-    bool equal;
-    bool a_left, b_left;
-    std::uint32_t ia, ib;
+    kMakeEmpty,   // dst = empty table over the node's scheme (π_∅ guard)
   };
 
   Op op;
-  const Expr* origin = nullptr;  // node this instruction belongs to
+  /// The plan operator this instruction belongs to: its origin keys the
+  /// memo and EvalNodeStats; materializers read their scheme, conditions
+  /// and kind-specific payload from it. Null for jumps.
+  const Plan::Node* node = nullptr;
   std::uint32_t dst = 0, a = 0, b = 0;
   std::uint32_t target = 0;  // jump destination (instruction index)
 
-  // Compile-time payloads (empty where not applicable).
-  std::string name;                    // kLoad: relation name
-  RelationScheme scheme;               // materializers: output scheme
-  bool want_equal = false;             // kSelect
-  std::uint32_t ia = 0, ib = 0;        // kSelect: column indices
-  std::vector<std::uint32_t> cols;     // kProject: source columns
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> join_keys;  // (l, r)
-  std::vector<JoinCond> local_left, local_right, cross;            // kHashJoin
+  // Column lists narrowed to the kernels' index width (empty where not
+  // applicable).
+  std::vector<std::uint32_t> cols;        // kProject: source columns
+  std::vector<std::uint32_t> left_keys;   // kHashJoin: probe-side keys
+  std::vector<std::uint32_t> right_keys;  // kHashJoin: build-side keys
 };
 
 /// A compiled expression: flat code plus the register budget. Holds the root
-/// ExprPtr so node pointers baked into the code stay valid for the program's
-/// lifetime.
+/// ExprPtr and the plan, so the plan-node and expression pointers baked into
+/// the code stay valid for the program's lifetime.
 struct Program {
   ExprPtr root;
+  Plan plan;
   std::vector<Insn> code;
   std::uint32_t num_regs = 0;
 };
@@ -89,8 +71,8 @@ struct Program {
 /// and replays the interpreter's observable contract: identical results,
 /// identical error statuses for runtime failures, identical logical metrics
 /// (evaluator.rows / join_probes / join_build_rows), identical memo
-/// cache-hit counts and EvalNodeStats shape. Type errors are the one
-/// deliberate divergence: compilation surfaces them before any charging.
+/// cache-hit counts and EvalNodeStats shape. Both lower the same Plan, so
+/// type errors are reported identically, before any work.
 ///
 /// Three caches with different lifetimes:
 ///  - programs_: per root node, survives ClearResultMemo (compile once),
@@ -103,10 +85,17 @@ class Engine {
   Engine(const Database* database, ExecContext* ctx)
       : database_(database), ctx_(ctx) {}
 
-  /// Compiles `root` (cached) and runs it. `stats` may be null; when given
-  /// it receives the same per-node statistics the interpreter records.
+  /// Plans and compiles `root` (cached) and runs it. `stats` may be null;
+  /// when given it receives the same per-node statistics the interpreter
+  /// records.
   Result<std::shared_ptr<const Relation>> Execute(
       const ExprPtr& root,
+      std::unordered_map<const Expr*, EvalNodeStats>* stats);
+
+  /// Same, for a caller that already planned `root` against this engine's
+  /// database; `plan` is compiled only when `root` has no program yet.
+  Result<std::shared_ptr<const Relation>> Execute(
+      const ExprPtr& root, Plan plan,
       std::unordered_map<const Expr*, EvalNodeStats>* stats);
 
   /// Drops per-node results but keeps compiled programs and transposed base
@@ -122,6 +111,9 @@ class Engine {
     std::shared_ptr<const Relation> rel;
   };
 
+  Result<std::shared_ptr<const Relation>> Run(
+      const Program& program,
+      std::unordered_map<const Expr*, EvalNodeStats>* stats);
   Result<ColumnTable> RunOp(
       const Insn& in,
       const std::vector<std::shared_ptr<const ColumnTable>>& regs);

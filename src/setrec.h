@@ -12,7 +12,7 @@
 ///   core/       schema, instances, receivers, methods, ExecContext,
 ///               ExecOptions, sequential application
 ///   relational/ relational algebra: schemes, relations, expressions,
-///               evaluator
+///               the shared operator plan, evaluator, vectorized engine
 ///   objrel/     object-relational encoding (Section 4)
 ///   conjunctive/ conjunctive/positive queries, homomorphisms, chase,
 ///               containment (Section 5 machinery)
@@ -56,6 +56,7 @@
 #include "relational/dependencies.h"
 #include "relational/evaluator.h"
 #include "relational/expression.h"
+#include "relational/plan.h"
 #include "relational/relation.h"
 #include "relational/schema.h"
 #include "relational/tuple.h"

@@ -268,12 +268,13 @@ void ExpectWorkerCountInvariant(const AlgebraicUpdateMethod& method,
                                 std::span<const Receiver> receivers,
                                 ThreadPool* pool) {
   Result<Instance> base =
-      ParallelApply(method, instance, receivers, ParallelOptions{1, nullptr});
+      ParallelApply(method, instance, receivers, ExecOptions{});
   ASSERT_TRUE(base.ok()) << base.status().message();
   const std::string base_text = InstanceToText(*base);
   for (std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
     Result<Instance> sharded = ParallelApply(
-        method, instance, receivers, ParallelOptions{workers, pool});
+        method, instance, receivers,
+        ExecOptions{.num_workers = workers, .pool = pool});
     ASSERT_TRUE(sharded.ok()) << sharded.status().message();
     EXPECT_EQ(*base, *sharded) << method.name() << " with " << workers
                                << " workers";
@@ -356,11 +357,12 @@ TEST(ParallelApplyDeterminismTest, TransientPoolMatchesBorrowedPool) {
   ASSERT_FALSE(receivers.empty());
 
   Result<Instance> seq =
-      ParallelApply(*method, instance, receivers, ParallelOptions{1, nullptr});
+      ParallelApply(*method, instance, receivers, ExecOptions{});
   ASSERT_TRUE(seq.ok());
   // options.pool == nullptr with num_workers > 1 spawns a transient pool.
   Result<Instance> transient =
-      ParallelApply(*method, instance, receivers, ParallelOptions{3, nullptr});
+      ParallelApply(*method, instance, receivers,
+                    ExecOptions{.num_workers = 3, .pool = nullptr});
   ASSERT_TRUE(transient.ok());
   EXPECT_EQ(*seq, *transient);
 }
@@ -391,14 +393,17 @@ TEST(ParallelApplyGovernanceTest, BudgetExhaustionMidFanOutLeavesInputAlone) {
   ThreadPool pool(4);
   ExecContext free_ctx;
   ASSERT_TRUE(ParallelApply(*method, instance, receivers,
-                            ParallelOptions{4, &pool}, free_ctx)
+                            ExecOptions{.ctx = &free_ctx,
+                                        .num_workers = 4,
+                                        .pool = &pool})
                   .ok());
   const std::uint64_t full_cost = free_ctx.steps();
   ASSERT_GT(full_cost, 200u);
 
   ExecContext tight{ExecContext::StepBudget(full_cost / 2)};
-  Result<Instance> out = ParallelApply(*method, instance, receivers,
-                                       ParallelOptions{4, &pool}, tight);
+  Result<Instance> out = ParallelApply(
+      *method, instance, receivers,
+      ExecOptions{.ctx = &tight, .num_workers = 4, .pool = &pool});
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
   // The input instance is untouched — governance failures never corrupt.
@@ -421,8 +426,9 @@ TEST(ParallelApplyGovernanceTest, CancellationAbortsTheFanOut) {
   ThreadPool pool(2);
   ExecContext ctx;
   ctx.RequestCancel();
-  Result<Instance> out = ParallelApply(*method, instance, receivers,
-                                       ParallelOptions{2, &pool}, ctx);
+  Result<Instance> out = ParallelApply(
+      *method, instance, receivers,
+      ExecOptions{.ctx = &ctx, .num_workers = 2, .pool = &pool});
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kCancelled);
 }

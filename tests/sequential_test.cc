@@ -114,12 +114,13 @@ TEST_F(SequenceTest, SequentialApplyVerificationMode) {
   // Unverified: picks the sorted enumeration and succeeds.
   EXPECT_TRUE(SequentialApply(*favorite, *instance_, set).ok());
   // Verified: refuses because favorite_bar is order dependent on this set.
-  EXPECT_EQ(SequentialApply(*favorite, *instance_, set, true).status().code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(
+      SequentialApply(*favorite, *instance_, set, {}, true).status().code(),
+      StatusCode::kFailedPrecondition);
 
   auto add_bar = std::move(MakeAddBar(ds_)).value();
   Instance verified =
-      std::move(SequentialApply(*add_bar, *instance_, set, true)).value();
+      std::move(SequentialApply(*add_bar, *instance_, set, {}, true)).value();
   EXPECT_EQ(verified.Targets(d_, ds_.frequents),
             (std::vector<ObjectId>{b0_, b1_}));
 }
