@@ -1,8 +1,7 @@
 // Backend comparison on join shapes, |R| = 2^6..2^14: the tuple-at-a-time
-// interpreter versus the compiled vectorized backend through one-shot
-// Evaluate (transpose + compile + batch execution) versus pure bytecode
-// re-execution (program and input transpose cached in a persistent engine,
-// result memo cleared per iteration).
+// interpreter versus the compiled vectorized backend, both through one-shot
+// Evaluate (for the vectorized backend: transpose + compile + batch
+// execution).
 //
 // Three families with different cost centers:
 //  - SelJoin:     σ_{a=c}(σ_{b=b2}(R×S)) — both conditions fuse into join
@@ -28,7 +27,6 @@
 #include "relational/builder.h"
 #include "relational/evaluator.h"
 #include "relational/relation.h"
-#include "relational/vectorized/engine.h"
 
 namespace setrec {
 namespace {
@@ -95,27 +93,6 @@ void RunBackend(benchmark::State& state, const ExprPtr& expr,
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-/// Pure batch execution: one persistent engine keeps the compiled program
-/// and the transposed base relations; clearing the result memo per
-/// iteration re-runs the bytecode without re-compiling or re-transposing.
-void RunBytecode(benchmark::State& state, const ExprPtr& expr) {
-  Database db = JoinWorkload(state.range(0));
-  vectorized::Engine engine(&db, &benchobs::ObsContext());
-  std::uint64_t rows = 0;
-  for (auto _ : state) {
-    engine.ClearResultMemo();
-    auto out = engine.Execute(expr, nullptr);
-    if (!out.ok()) {
-      state.SkipWithError(out.status().message().c_str());
-      return;
-    }
-    rows = out.value()->size();
-    benchmark::DoNotOptimize(out);
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
 void BM_SelJoinInterpreter(benchmark::State& state) {
   RunBackend(state, SelJoinQuery(), ExecBackend::kInterpreter);
 }
@@ -128,14 +105,6 @@ void BM_SelJoinVectorized(benchmark::State& state) {
   RunBackend(state, SelJoinQuery(), ExecBackend::kVectorized);
 }
 BENCHMARK(BM_SelJoinVectorized)
-    ->RangeMultiplier(2)
-    ->Range(64, 16384)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_SelJoinBytecode(benchmark::State& state) {
-  RunBytecode(state, SelJoinQuery());
-}
-BENCHMARK(BM_SelJoinBytecode)
     ->RangeMultiplier(2)
     ->Range(64, 16384)
     ->Unit(benchmark::kMicrosecond);
@@ -156,14 +125,6 @@ BENCHMARK(BM_ProjectJoinVectorized)
     ->Range(64, 16384)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_ProjectJoinBytecode(benchmark::State& state) {
-  RunBytecode(state, ProjectJoinQuery());
-}
-BENCHMARK(BM_ProjectJoinBytecode)
-    ->RangeMultiplier(2)
-    ->Range(64, 16384)
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_WideJoinInterpreter(benchmark::State& state) {
   RunBackend(state, WideJoinQuery(), ExecBackend::kInterpreter);
 }
@@ -176,14 +137,6 @@ void BM_WideJoinVectorized(benchmark::State& state) {
   RunBackend(state, WideJoinQuery(), ExecBackend::kVectorized);
 }
 BENCHMARK(BM_WideJoinVectorized)
-    ->RangeMultiplier(2)
-    ->Range(64, 16384)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_WideJoinBytecode(benchmark::State& state) {
-  RunBytecode(state, WideJoinQuery());
-}
-BENCHMARK(BM_WideJoinBytecode)
     ->RangeMultiplier(2)
     ->Range(64, 16384)
     ->Unit(benchmark::kMicrosecond);

@@ -43,7 +43,7 @@ Result<Instance> AlgebraicUpdateMethod::Apply(const Instance& instance,
   // Evaluate every right-hand side against the *pre-update* instance first
   // (all statements of one method application see the same snapshot), then
   // splice the results in.
-  Evaluator evaluator(&db);
+  Evaluator evaluator(&db, {.ctx = &ExecContext::Default()});
   std::vector<Relation> results;
   results.reserve(statements_.size());
   for (const UpdateStatement& s : statements_) {

@@ -22,6 +22,21 @@ Result<RelationScheme> RecScheme(const MethodSignature& signature) {
   return RelationScheme::Make(std::move(attrs));
 }
 
+Result<Relation> RecRelation(const RelationScheme& scheme,
+                             std::span<const Receiver> receivers) {
+  Relation rec(scheme);
+  rec.Reserve(receivers.size());
+  for (const Receiver& t : receivers) {
+    std::vector<ObjectId> values;
+    values.reserve(t.size());
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      values.push_back(t.object_at(i));
+    }
+    SETREC_RETURN_IF_ERROR(rec.Insert(Tuple(std::move(values))));
+  }
+  return rec;
+}
+
 Result<Catalog> ParCatalog(const MethodContext& context) {
   // Rebuild from the object schema (dropping self/arg singletons), then add
   // rec.
@@ -151,22 +166,15 @@ ShardResult EvalShard(const Database& base, const RelationScheme& rec_scheme,
   TraceSpan span = StartSpan(ctx, "parallel/shard");
   if (ctx.metrics() != nullptr) ctx.metrics()->engine.parallel_shards.Add(1);
 
-  Relation rec(rec_scheme);
-  rec.Reserve(shard.size());
-  for (const Receiver& t : shard) {
-    std::vector<ObjectId> values;
-    values.reserve(t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      values.push_back(t.object_at(i));
-    }
-    out.status = rec.Insert(Tuple(std::move(values)));
-    if (!out.status.ok()) return out;
+  Result<Relation> rec = RecRelation(rec_scheme, shard);
+  if (!rec.ok()) {
+    out.status = rec.status();
+    return out;
   }
   Database db = base;
-  db.Put(kRecRelation, std::move(rec));
+  db.Put(kRecRelation, std::move(*rec));
 
-  Evaluator evaluator(&db, ctx);
-  evaluator.set_backend(backend);
+  Evaluator evaluator(&db, {.ctx = &ctx, .backend = backend});
   out.per_statement.reserve(par_exprs.size());
   for (const ExprPtr& par_expr : par_exprs) {
     Result<Relation> r = evaluator.Eval(par_expr);

@@ -16,6 +16,11 @@ inline constexpr const char kRecRelation[] = "rec";
 /// with the signature's class domains.
 Result<RelationScheme> RecScheme(const MethodSignature& signature);
 
+/// The `rec` relation over `scheme` (see RecScheme) holding one tuple per
+/// receiver: the receiving object followed by the arguments.
+Result<Relation> RecRelation(const RelationScheme& scheme,
+                             std::span<const Receiver> receivers);
+
 /// The catalog against which par(E) expressions type-check: the method
 /// catalog minus the singleton receiver relations, plus `rec`.
 Result<Catalog> ParCatalog(const MethodContext& context);

@@ -73,9 +73,9 @@ struct ExecOptions {
   /// context's current recorder.
   FlightRecorder* recorder = nullptr;
 
-  /// Multi-core runtime (honored by the entry points that shard:
-  /// ParallelApply and the evaluator's partitioned join probe). `pool` is
-  /// borrowed; when null and num_workers > 1, a transient pool is spawned.
+  /// Multi-core runtime (honored by the entry point that shards:
+  /// ParallelApply). `pool` is borrowed; when null and num_workers > 1, a
+  /// transient pool is spawned.
   std::size_t num_workers = 1;
   ThreadPool* pool = nullptr;
 

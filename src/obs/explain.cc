@@ -283,8 +283,8 @@ Result<ExplainPlan> ExplainExpressionAnalyze(const ExprPtr& expr,
   ExecOptions opts = options;
   if (opts.metrics == nullptr) opts.metrics = &local_metrics;
   ExecScope scope(opts);
-  Evaluator evaluator(&database, scope.ctx(), opts.pool);
-  evaluator.set_backend(opts.backend);
+  Evaluator evaluator(&database,
+                      {.ctx = &scope.ctx(), .backend = opts.backend});
   std::unordered_map<const Expr*, EvalNodeStats> stats;
   evaluator.set_node_stats(&stats);
   SETREC_RETURN_IF_ERROR(evaluator.Eval(expr).status());
@@ -329,8 +329,7 @@ Result<ExplainPlan> ExplainSetOrientedUpdate(const Instance& instance,
     // Phase one: evaluate the receiver query against the encoded input
     // state, collecting per-node statistics.
     SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(instance));
-    Evaluator evaluator(&db, ctx, opts.pool);
-    evaluator.set_backend(opts.backend);
+    Evaluator evaluator(&db, {.ctx = &ctx, .backend = opts.backend});
     evaluator.set_node_stats(&stats);
     SETREC_ASSIGN_OR_RETURN(Relation rows, evaluator.Eval(receiver_query));
     if (rows.scheme().arity() != assign->signature().size()) {
@@ -418,19 +417,9 @@ Result<ExplainPlan> ExplainParallelApply(const AlgebraicUpdateMethod& method,
     SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(instance));
     SETREC_ASSIGN_OR_RETURN(RelationScheme rec_scheme,
                             RecScheme(mctx.signature));
-    Relation rec(rec_scheme);
-    rec.Reserve(receivers.size());
-    for (const Receiver& t : receivers) {
-      std::vector<ObjectId> values;
-      values.reserve(t.size());
-      for (std::size_t i = 0; i < t.size(); ++i) {
-        values.push_back(t.object_at(i));
-      }
-      SETREC_RETURN_IF_ERROR(rec.Insert(Tuple(std::move(values))));
-    }
+    SETREC_ASSIGN_OR_RETURN(Relation rec, RecRelation(rec_scheme, receivers));
     db.Put(kRecRelation, std::move(rec));
-    Evaluator evaluator(&db, scope.ctx(), opts.pool);
-    evaluator.set_backend(opts.backend);
+    Evaluator evaluator(&db, {.ctx = &scope.ctx(), .backend = opts.backend});
     evaluator.set_node_stats(&stats);
     for (const auto& [property, par_expr] : pipelines) {
       SETREC_RETURN_IF_ERROR(evaluator.Eval(par_expr).status());

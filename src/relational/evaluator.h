@@ -4,11 +4,11 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "core/exec_backend.h"
 #include "core/exec_context.h"
 #include "core/exec_options.h"
-#include "core/thread_pool.h"
 #include "relational/expression.h"
 #include "relational/plan.h"
 #include "relational/relation.h"
@@ -23,9 +23,9 @@ class Engine;
 /// attached to the evaluator (the EXPLAIN ANALYZE path). Keyed by node
 /// identity (`const Expr*`), matching the evaluator's memo cache: a node
 /// evaluated once and reused records one evaluation plus cache_hits.
-/// All fields are *logical* counts except wall_ns — they are identical at
-/// any worker count, because join probes are counted as probe-side tuples
-/// (not per-partition work items) and builds are single-threaded.
+/// All fields are *logical* counts except wall_ns — they are identical on
+/// every backend and at any worker count, because join probes are counted
+/// as probe-side tuples.
 struct EvalNodeStats {
   std::uint64_t rows = 0;        // output rows of this node
   std::uint64_t build_rows = 0;  // hash-join build-side insertions
@@ -51,31 +51,18 @@ struct EvalNodeStats {
 /// instead of exhausting the machine.
 class Evaluator {
  public:
-  /// Joins whose probe side has at least this many tuples are probed in
-  /// parallel when a pool is attached (below it, partitioning overhead
-  /// dominates).
-  static constexpr std::size_t kParallelProbeThreshold = 1024;
-
   /// kAuto picks the vectorized backend only when the referenced base
   /// relations hold at least this many rows in total: below it, transposing
   /// inputs into columns costs more than batching saves.
   static constexpr std::size_t kAutoVectorizeInputRows = 4096;
 
-  /// `pool`, when given (and sized > 1), parallelizes the probe phase of
-  /// large hash joins: the probe side is partitioned across the workers,
-  /// each partition charges a Fork() of `ctx` (so row/memory budgets stay
-  /// exact globally), and partition outputs are merged in partition order —
-  /// the result is identical to the sequential probe. The pool is borrowed,
-  /// not owned.
-  explicit Evaluator(const Database* database,
-                     ExecContext& ctx = ExecContext::Default(),
-                     ThreadPool* pool = nullptr);
-
-  /// Unified form: resolves ExecOptions (context, observability sinks,
-  /// probe-parallelism pool) for the evaluator's lifetime. The scope is
-  /// held by the evaluator, so a borrowed context is restored when the
-  /// evaluator is destroyed.
-  Evaluator(const Database* database, const ExecOptions& options);
+  /// Resolves ExecOptions (context, observability sinks, backend) for the
+  /// evaluator's lifetime. The scope is held by the evaluator, so a
+  /// borrowed context is restored when the evaluator is destroyed. The
+  /// backend is fixed here: kAuto latches on the first Eval so that every
+  /// expression this evaluator touches runs under one backend — the memo
+  /// cache, and therefore the cache-hit counters, have one semantic domain.
+  explicit Evaluator(const Database* database, const ExecOptions& options = {});
 
   // Constructors and destructor are out of line: the vectorized engine
   // member is incomplete here.
@@ -84,7 +71,8 @@ class Evaluator {
   /// Evaluates `expr`: plans it (Plan::Build against the bound database,
   /// so type errors are InferScheme's and surface before any work) and
   /// executes the plan. Returns a copy of the memoized result; callers that
-  /// only read should prefer EvalShared.
+  /// only read should prefer EvalShared. A well-typed `expr` is kept alive
+  /// until the evaluator is destroyed, so a temporary may be passed.
   Result<Relation> Eval(const ExprPtr& expr);
 
   /// Evaluates `expr` and returns the memoized result behind shared
@@ -101,14 +89,6 @@ class Evaluator {
   void set_node_stats(std::unordered_map<const Expr*, EvalNodeStats>* sink) {
     node_stats_ = sink;
   }
-
-  /// Selects the execution backend (core/exec_backend.h). Must be called
-  /// before the first Eval: the kAuto decision latches on first use so that
-  /// every expression this evaluator touches runs under one backend — the
-  /// memo cache, and therefore the cache-hit counters, have one semantic
-  /// domain. Results and logical counters are backend-invariant either way.
-  void set_backend(ExecBackend backend) { backend_ = backend; }
-  ExecBackend backend() const { return backend_; }
 
  private:
   /// Memoized execution of one plan node, keyed by its origin expression.
@@ -127,27 +107,28 @@ class Evaluator {
 
   /// Whether `plan` should run on the compiled vectorized backend. Forced
   /// backends answer directly (kVectorized still requires coverage); kAuto
-  /// latches its cost decision on the first call — a pool with real
-  /// parallelism keeps the interpreter (its partitioned probe would be
-  /// forfeited), otherwise vectorization wins once the plan's base
-  /// relations hold kAutoVectorizeInputRows rows.
+  /// latches its cost decision on the first call: vectorization wins once
+  /// the plan's base relations hold kAutoVectorizeInputRows rows.
   bool UseVectorized(const Plan& plan);
 
   const Database* database_;
-  std::optional<ExecScope> scope_;
-  ExecContext* ctx_ = nullptr;
-  ThreadPool* pool_ = nullptr;
-  ExecBackend backend_ = ExecBackend::kAuto;
+  ExecScope scope_;
+  ExecContext* ctx_;
+  ExecBackend backend_;
   std::optional<bool> auto_vectorize_;  // kAuto decision, latched
   std::unique_ptr<vectorized::Engine> engine_;  // lazily built
+  // Both memos (cache_ and the engine's) are keyed by node address, so every
+  // evaluated root is pinned for the evaluator's lifetime: otherwise a later
+  // expression allocated at a freed temporary's address would be served the
+  // temporary's result.
+  std::unordered_set<ExprPtr> roots_;
   std::unordered_map<const Expr*, std::shared_ptr<const Relation>> cache_;
   std::unordered_map<const Expr*, EvalNodeStats>* node_stats_ = nullptr;
 };
 
-/// One-shot evaluation. The single ExecOptions entry point: backend
-/// selection, governing context, observability sinks and the probe pool all
-/// arrive through `options` (a default-constructed ExecOptions means
-/// permissive, unobserved, single-threaded, kAuto backend).
+/// One-shot evaluation: backend selection, governing context and
+/// observability sinks all arrive through `options` (a default-constructed
+/// ExecOptions means permissive, unobserved, kAuto backend).
 Result<Relation> Evaluate(const ExprPtr& expr, const Database& database,
                           const ExecOptions& options = {});
 

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace setrec {
@@ -64,11 +65,18 @@ ExprPtr Expr::Rename(ExprPtr child, std::string from, std::string to) {
   return node;
 }
 
+namespace {
+bool HasDifference(const Expr& expr, std::unordered_set<const Expr*>& seen) {
+  if (!seen.insert(&expr).second) return false;  // shared subterm: walked once
+  if (expr.op() == Expr::Op::kDifference) return true;
+  return (expr.left() && HasDifference(*expr.left(), seen)) ||
+         (expr.right() && HasDifference(*expr.right(), seen));
+}
+}  // namespace
+
 bool IsPositive(const Expr& expr) {
-  if (expr.op() == Expr::Op::kDifference) return false;
-  if (expr.left() && !IsPositive(*expr.left())) return false;
-  if (expr.right() && !IsPositive(*expr.right())) return false;
-  return true;
+  std::unordered_set<const Expr*> seen;
+  return !HasDifference(expr, seen);
 }
 
 namespace {
@@ -91,48 +99,70 @@ std::vector<std::string> ReferencedRelations(const Expr& expr) {
   return {names.begin(), names.end()};
 }
 
-ExprPtr SubstituteRelation(const ExprPtr& expr, const std::string& name,
-                           const ExprPtr& replacement) {
+namespace {
+/// One output node per distinct input node: `done` maps each visited node to
+/// its substitute, so shared subterms stay shared and are rewritten once.
+ExprPtr Substitute(const ExprPtr& expr, const std::string& name,
+                   const ExprPtr& replacement,
+                   std::unordered_map<const Expr*, ExprPtr>& done) {
+  auto it = done.find(expr.get());
+  if (it != done.end()) return it->second;
+  ExprPtr out = expr;
   switch (expr->op()) {
     case Expr::Op::kRelation:
-      return expr->relation_name() == name ? replacement : expr;
+      if (expr->relation_name() == name) out = replacement;
+      break;
     case Expr::Op::kUnion:
     case Expr::Op::kDifference:
     case Expr::Op::kProduct: {
-      ExprPtr l = SubstituteRelation(expr->left(), name, replacement);
-      ExprPtr r = SubstituteRelation(expr->right(), name, replacement);
-      if (l == expr->left() && r == expr->right()) return expr;
+      ExprPtr l = Substitute(expr->left(), name, replacement, done);
+      ExprPtr r = Substitute(expr->right(), name, replacement, done);
+      if (l == expr->left() && r == expr->right()) break;
       switch (expr->op()) {
         case Expr::Op::kUnion:
-          return Expr::Union(std::move(l), std::move(r));
+          out = Expr::Union(std::move(l), std::move(r));
+          break;
         case Expr::Op::kDifference:
-          return Expr::Difference(std::move(l), std::move(r));
+          out = Expr::Difference(std::move(l), std::move(r));
+          break;
         default:
-          return Expr::Product(std::move(l), std::move(r));
+          out = Expr::Product(std::move(l), std::move(r));
+          break;
       }
+      break;
     }
     case Expr::Op::kSelectEq:
     case Expr::Op::kSelectNeq: {
-      ExprPtr c = SubstituteRelation(expr->child(), name, replacement);
-      if (c == expr->child()) return expr;
-      return expr->op() == Expr::Op::kSelectEq
-                 ? Expr::SelectEq(std::move(c), expr->attr_a(), expr->attr_b())
-                 : Expr::SelectNeq(std::move(c), expr->attr_a(),
-                                   expr->attr_b());
+      ExprPtr c = Substitute(expr->child(), name, replacement, done);
+      if (c == expr->child()) break;
+      out = expr->op() == Expr::Op::kSelectEq
+                ? Expr::SelectEq(std::move(c), expr->attr_a(), expr->attr_b())
+                : Expr::SelectNeq(std::move(c), expr->attr_a(),
+                                  expr->attr_b());
+      break;
     }
     case Expr::Op::kProject: {
-      ExprPtr c = SubstituteRelation(expr->child(), name, replacement);
-      if (c == expr->child()) return expr;
-      return Expr::Project(std::move(c), expr->projection());
+      ExprPtr c = Substitute(expr->child(), name, replacement, done);
+      if (c == expr->child()) break;
+      out = Expr::Project(std::move(c), expr->projection());
+      break;
     }
     case Expr::Op::kRename: {
-      ExprPtr c = SubstituteRelation(expr->child(), name, replacement);
-      if (c == expr->child()) return expr;
-      return Expr::Rename(std::move(c), expr->rename_from(),
-                          expr->rename_to());
+      ExprPtr c = Substitute(expr->child(), name, replacement, done);
+      if (c == expr->child()) break;
+      out = Expr::Rename(std::move(c), expr->rename_from(), expr->rename_to());
+      break;
     }
   }
-  return expr;
+  done.emplace(expr.get(), out);
+  return out;
+}
+}  // namespace
+
+ExprPtr SubstituteRelation(const ExprPtr& expr, const std::string& name,
+                           const ExprPtr& replacement) {
+  std::unordered_map<const Expr*, ExprPtr> done;
+  return Substitute(expr, name, replacement, done);
 }
 
 namespace {

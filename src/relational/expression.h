@@ -68,7 +68,7 @@ class Expr {
 };
 
 /// True when the expression lies in the positive algebra (Definition 5.2):
-/// no difference operator anywhere.
+/// no difference operator anywhere. Visits each shared subterm once.
 bool IsPositive(const Expr& expr);
 
 /// Names of all relations referenced by the expression, sorted and deduped.
@@ -86,7 +86,8 @@ Result<RelationScheme> InferScheme(const Expr& expr, const Catalog& catalog);
 
 /// Replaces every reference to relation `name` by `replacement` (used by the
 /// Theorem 5.6 reduction, which substitutes E_b[t] for Cb). Shares untouched
-/// subtrees.
+/// subtrees, and keeps the input's sharing: each distinct input node is
+/// rewritten once, into one output node.
 ExprPtr SubstituteRelation(const ExprPtr& expr, const std::string& name,
                            const ExprPtr& replacement);
 

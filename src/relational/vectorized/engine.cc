@@ -173,24 +173,10 @@ class Compiler {
 }  // namespace
 
 Result<std::shared_ptr<const Relation>> Engine::Execute(
-    const ExprPtr& root,
-    std::unordered_map<const Expr*, EvalNodeStats>* stats) {
-  auto pit = programs_.find(root.get());
-  if (pit != programs_.end()) return Run(pit->second, stats);
-  SETREC_ASSIGN_OR_RETURN(Plan plan, Plan::Build(*root, *database_));
-  return Execute(root, std::move(plan), stats);
-}
-
-Result<std::shared_ptr<const Relation>> Engine::Execute(
-    const ExprPtr& root, Plan plan,
-    std::unordered_map<const Expr*, EvalNodeStats>* stats) {
-  auto pit = programs_.find(root.get());
-  if (pit == programs_.end()) {
-    pit = programs_.emplace(root.get(), Program{root, std::move(plan), {}, 0})
-              .first;
-    Compiler(pit->second).Compile();
-  }
-  return Run(pit->second, stats);
+    Plan plan, std::unordered_map<const Expr*, EvalNodeStats>* stats) {
+  Program program{std::move(plan), {}, 0};
+  Compiler(program).Compile();
+  return Run(program, stats);
 }
 
 Result<std::shared_ptr<const Relation>> Engine::Run(
@@ -294,7 +280,7 @@ Result<std::shared_ptr<const Relation>> Engine::Run(
     ++pc;
   }
 
-  MemoEntry& entry = memo_[program.root.get()];
+  MemoEntry& entry = memo_[program.plan.root().origin];
   if (entry.table == nullptr) {
     return Status::Internal("vectorized program produced no result");
   }

@@ -56,11 +56,10 @@ struct Insn {
   std::vector<std::uint32_t> right_keys;  // kHashJoin: build-side keys
 };
 
-/// A compiled expression: flat code plus the register budget. Holds the root
-/// ExprPtr and the plan, so the plan-node and expression pointers baked into
-/// the code stay valid for the program's lifetime.
+/// A compiled expression: flat code plus the register budget. Holds the
+/// plan, so the plan-node pointers baked into the code stay valid for the
+/// program's lifetime.
 struct Program {
-  ExprPtr root;
   Plan plan;
   std::vector<Insn> code;
   std::uint32_t num_regs = 0;
@@ -74,33 +73,22 @@ struct Program {
 /// cache-hit counts and EvalNodeStats shape. Both lower the same Plan, so
 /// type errors are reported identically, before any work.
 ///
-/// Three caches with different lifetimes:
-///  - programs_: per root node, survives ClearResultMemo (compile once),
-///  - loads_:    transposed base relations by name, survives too,
-///  - memo_:     per-node results — the analogue of the interpreter's memo;
-///               ClearResultMemo drops it, forcing pure bytecode re-execution
-///               (the "bytecode" mode of the differential tests and bench).
+/// Two caches live as long as the engine:
+///  - loads_: transposed base relations by name,
+///  - memo_:  per-node results — the analogue of the interpreter's memo,
+///            keyed by node address, so the owner must keep every executed
+///            expression alive for the engine's lifetime (the Evaluator
+///            pins its roots).
 class Engine {
  public:
   Engine(const Database* database, ExecContext* ctx)
       : database_(database), ctx_(ctx) {}
 
-  /// Plans and compiles `root` (cached) and runs it. `stats` may be null;
-  /// when given it receives the same per-node statistics the interpreter
-  /// records.
+  /// Compiles `plan` (built against this engine's database) and runs it.
+  /// `stats` may be null; when given it receives the same per-node
+  /// statistics the interpreter records.
   Result<std::shared_ptr<const Relation>> Execute(
-      const ExprPtr& root,
-      std::unordered_map<const Expr*, EvalNodeStats>* stats);
-
-  /// Same, for a caller that already planned `root` against this engine's
-  /// database; `plan` is compiled only when `root` has no program yet.
-  Result<std::shared_ptr<const Relation>> Execute(
-      const ExprPtr& root, Plan plan,
-      std::unordered_map<const Expr*, EvalNodeStats>* stats);
-
-  /// Drops per-node results but keeps compiled programs and transposed base
-  /// relations, so the next Execute measures pure batch execution.
-  void ClearResultMemo() { memo_.clear(); }
+      Plan plan, std::unordered_map<const Expr*, EvalNodeStats>* stats);
 
  private:
   struct MemoEntry {
@@ -126,7 +114,6 @@ class Engine {
   // Stats sink of the Execute in flight (kHashJoin tallies build/probe rows
   // mid-operator, before its node finishes); null when stats are detached.
   std::unordered_map<const Expr*, EvalNodeStats>* join_stats_ = nullptr;
-  std::unordered_map<const Expr*, Program> programs_;
   std::unordered_map<const Expr*, MemoEntry> memo_;
   std::unordered_map<std::string, std::shared_ptr<const ColumnTable>> loads_;
 };

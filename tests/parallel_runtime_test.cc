@@ -1,9 +1,9 @@
 // Tests for the multi-core execution runtime: the ThreadPool, budget
 // sharing across ExecContext::Fork() families, the hashed relational
-// kernels, the partitioned parallel join probe, and — the load-bearing
-// property — bit-identical determinism of ParallelApply across worker
-// counts (the sharded evaluation computes exactly the self-slices of each
-// shard, so merging shards reproduces the single-threaded result).
+// kernels, and — the load-bearing property — bit-identical determinism of
+// ParallelApply across worker counts (the sharded evaluation computes
+// exactly the self-slices of each shard, so merging shards reproduces the
+// single-threaded result).
 
 #include <gtest/gtest.h>
 
@@ -16,8 +16,7 @@
 #include "algebraic/parallel.h"
 #include "core/instance_generator.h"
 #include "core/thread_pool.h"
-#include "relational/builder.h"
-#include "relational/evaluator.h"
+#include "relational/relation.h"
 #include "sql/table.h"
 #include "text/printer.h"
 
@@ -194,66 +193,6 @@ TEST(HashedRelationTest, DatabaseEqualityIsDeepAfterSharedStorage) {
   EXPECT_TRUE(a == b);  // same content, distinct shared_ptrs
   Database c = a;       // shallow copy shares storage
   EXPECT_TRUE(a == c);
-}
-
-// ---------------------------------------------------------------------------
-// Partitioned parallel join probe
-// ---------------------------------------------------------------------------
-
-TEST(ParallelProbeTest, PartitionedProbeMatchesSequentialEvaluation) {
-  // Probe side larger than kParallelProbeThreshold so the partitioned path
-  // actually engages.
-  const std::size_t n = Evaluator::kParallelProbeThreshold + 513;
-  Database db;
-  Relation r(MakeScheme({{"x", kP}, {"y", kQ}}));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(r.Insert(Tuple{P(i), Q(i % 97)}).ok());
-  }
-  db.Put("R", std::move(r));
-  Relation s(MakeScheme({{"y2", kQ}, {"z", kP}}));
-  for (std::uint32_t j = 0; j < 97; ++j) {
-    ASSERT_TRUE(s.Insert(Tuple{Q(j), P(j % 5)}).ok());
-  }
-  db.Put("S", std::move(s));
-
-  ExprPtr join = Expr::SelectEq(
-      Expr::Product(Expr::Relation("R"), Expr::Relation("S")), "y", "y2");
-
-  ExecContext seq_ctx;
-  Evaluator sequential(&db, seq_ctx);
-  Relation expected = std::move(sequential.Eval(join)).value();
-  EXPECT_EQ(expected.size(), n);
-
-  ThreadPool pool(4);
-  ExecContext par_ctx;
-  Evaluator parallel(&db, par_ctx, &pool);
-  Relation actual = std::move(parallel.Eval(join)).value();
-  EXPECT_TRUE(expected == actual);
-  // Both evaluations charged the same number of join rows.
-  EXPECT_EQ(seq_ctx.rows(), par_ctx.rows());
-}
-
-TEST(ParallelProbeTest, RowBudgetHoldsExactlyAcrossPartitions) {
-  const std::size_t n = Evaluator::kParallelProbeThreshold + 1;
-  Database db;
-  Relation r(MakeScheme({{"x", kP}, {"y", kQ}}));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(r.Insert(Tuple{P(i), Q(0)}).ok());
-  }
-  db.Put("R", std::move(r));
-  Relation s(MakeScheme({{"y2", kQ}}));
-  ASSERT_TRUE(s.Insert(Tuple{Q(0)}).ok());
-  db.Put("S", std::move(s));
-
-  ExprPtr join = Expr::SelectEq(
-      Expr::Product(Expr::Relation("R"), Expr::Relation("S")), "y", "y2");
-
-  ExecContext::Limits limits;
-  limits.max_rows = n / 2;  // trips mid-probe, inside some partition
-  ExecContext ctx{limits};
-  ThreadPool pool(4);
-  Evaluator ev(&db, ctx, &pool);
-  EXPECT_EQ(ev.Eval(join).status().code(), StatusCode::kResourceExhausted);
 }
 
 // ---------------------------------------------------------------------------

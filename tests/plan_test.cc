@@ -163,6 +163,18 @@ TEST(PlanTest, DeepSelfSharedUnionChainIsLinear) {
   ASSERT_TRUE(scheme.ok()) << scheme.status().message();
   EXPECT_EQ(*scheme, MakeScheme({{"a", kP}, {"b", kP}}));
   EXPECT_EQ(ReferencedRelations(*e), (std::vector<std::string>{"R"}));
+  EXPECT_TRUE(IsPositive(*e));
+
+  // Substitution keeps the sharing: one output node per input node.
+  Catalog renamed = TestCatalog();
+  ASSERT_TRUE(
+      renamed.AddRelation("R2", MakeScheme({{"a", kP}, {"b", kP}})).ok());
+  ExprPtr substituted = SubstituteRelation(e, "R", ra::Rel("R2"));
+  Plan substituted_plan =
+      std::move(Plan::Build(*substituted, renamed)).value();
+  EXPECT_EQ(substituted_plan.size(), static_cast<std::size_t>(kDepth + 1));
+  EXPECT_EQ(ReferencedRelations(*substituted),
+            (std::vector<std::string>{"R2"}));
 
   const Database db = TestDatabase();
   const Relation& r = *std::move(db.Find("R")).value();

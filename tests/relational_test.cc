@@ -190,6 +190,32 @@ TEST_F(AlgebraTest, EvaluatorMemoizesSharedNodes) {
   EXPECT_EQ(result.size(), 2u);
 }
 
+TEST_F(AlgebraTest, EvaluatorNeverServesAFreedTemporarysResult) {
+  // Both memos are keyed by node address. Evaluating one temporary after
+  // another on a single evaluator lets the allocator hand the second the
+  // first one's freed address; its result must still be its own.
+  Database db;
+  Relation a(MakeScheme({{"x", kP}}));
+  ASSERT_TRUE(a.Insert(Tuple{P(0)}).ok());
+  Relation b(MakeScheme({{"x", kP}}));
+  ASSERT_TRUE(b.Insert(Tuple{P(0)}).ok());
+  ASSERT_TRUE(b.Insert(Tuple{P(1)}).ok());
+  db.Put("A", std::move(a));
+  db.Put("B", std::move(b));
+  for (ExecBackend backend :
+       {ExecBackend::kInterpreter, ExecBackend::kVectorized}) {
+    Evaluator evaluator(&db, {.backend = backend});
+    for (int i = 0; i < 4; ++i) {
+      Result<Relation> a_out = evaluator.Eval(ra::Rel("A"));
+      ASSERT_TRUE(a_out.ok()) << a_out.status().message();
+      EXPECT_EQ(a_out->size(), 1u) << ExecBackendName(backend);
+      Result<Relation> b_out = evaluator.Eval(ra::Rel("B"));
+      ASSERT_TRUE(b_out.ok()) << b_out.status().message();
+      EXPECT_EQ(b_out->size(), 2u) << ExecBackendName(backend);
+    }
+  }
+}
+
 TEST_F(AlgebraTest, ExprToStringRoundsTheSyntax) {
   ExprPtr e = ra::Project(
       ra::SelectNeq(ra::Product(ra::Rel("R"), ra::Rel("S")), "x", "z"),

@@ -2,11 +2,9 @@
 // (relational/vectorized/): the interpreter is the oracle, and every
 // observable — results, error status codes, logical engine counters,
 // per-node EXPLAIN ANALYZE statistics — must be bit-identical across
-// ExecBackend::kInterpreter, kVectorized (first execution: compile + run)
-// and "bytecode" (re-execution of an already-compiled program with the
-// result memo cleared). The acceptance property rides the same 16-seed
-// drinkers corpus the parallel runtime pins: identical instances at 1/2/8
-// workers under either backend.
+// ExecBackend::kInterpreter and kVectorized. The acceptance property rides
+// the same 16-seed drinkers corpus the parallel runtime pins: identical
+// instances at 1/2/8 workers under either backend.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +23,6 @@
 #include "relational/builder.h"
 #include "relational/evaluator.h"
 #include "relational/relation.h"
-#include "relational/vectorized/engine.h"
 #include "text/printer.h"
 
 namespace setrec {
@@ -125,7 +122,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedCorpusTest,
                          ::testing::Range<std::uint64_t>(1, 17));
 
 // ---------------------------------------------------------------------------
-// Randomized expression fuzz: interpreter vs vectorized vs bytecode
+// Randomized expression fuzz: interpreter vs vectorized
 // ---------------------------------------------------------------------------
 
 /// Scheme-aware random expression generator over a fixed catalog:
@@ -240,7 +237,7 @@ Database RandomDatabase(std::uint64_t seed) {
 
 class VectorizedFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-/// Random expressions through all three execution modes. Status codes must
+/// Random expressions through both backends. Status codes must
 /// always agree; on success the relation, its canonical text rows, and the
 /// logical counter map must be identical.
 TEST_P(VectorizedFuzzTest, RandomExpressionsAgreeAcrossBackends) {
@@ -260,32 +257,6 @@ TEST_P(VectorizedFuzzTest, RandomExpressionsAgreeAcrossBackends) {
     EXPECT_TRUE(interp.result.value() == vec.result.value())
         << "iteration " << i;
     EXPECT_EQ(interp.counters, vec.counters) << "iteration " << i;
-
-    // Bytecode mode: the program is already compiled; clearing the result
-    // memo forces a pure re-execution that must reproduce everything,
-    // including per-node stats on a fresh sink.
-    MetricsRegistry metrics;
-    ExecContext ctx;
-    ctx.set_metrics(&metrics);
-    vectorized::Engine engine(&db, &ctx);
-    std::unordered_map<const Expr*, EvalNodeStats> first_stats;
-    auto first = engine.Execute(expr, &first_stats);
-    ASSERT_TRUE(first.ok()) << first.status().message();
-    engine.ClearResultMemo();
-    std::unordered_map<const Expr*, EvalNodeStats> replay_stats;
-    auto replay = engine.Execute(expr, &replay_stats);
-    ASSERT_TRUE(replay.ok()) << replay.status().message();
-    EXPECT_TRUE(*replay.value() == interp.result.value())
-        << "iteration " << i;
-    ASSERT_EQ(first_stats.size(), replay_stats.size());
-    for (const auto& [node, stats] : first_stats) {
-      const auto it = replay_stats.find(node);
-      ASSERT_NE(it, replay_stats.end());
-      EXPECT_EQ(stats.rows, it->second.rows);
-      EXPECT_EQ(stats.build_rows, it->second.build_rows);
-      EXPECT_EQ(stats.probe_rows, it->second.probe_rows);
-      EXPECT_EQ(stats.cache_hits, it->second.cache_hits);
-    }
   }
 }
 
