@@ -1,5 +1,6 @@
 #include "obs/explain.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -65,11 +66,24 @@ std::string RenderConds(const std::vector<Plan::Cond>& conds) {
 /// its conditions: cross equalities are hash keys, per-side conditions are
 /// build/probe filters, and cross non-equalities are residual filters
 /// applied per match.
+///
+/// `hoisting`, given for par(E) plans, marks where ParallelApply evaluates
+/// each operator (Plan::Hoist around rec): once, before the fan-out, or per
+/// shard, with the joins whose build is made once.
 PlanNode RenderPlan(
-    const Plan& plan, const Plan::Node& node,
-    const std::unordered_map<const Expr*, EvalNodeStats>* stats) {
+    const Plan& plan, std::size_t index,
+    const std::unordered_map<const Expr*, EvalNodeStats>* stats,
+    const Plan::Hoisting* hoisting) {
+  const Plan::Node& node = plan.node(index);
   PlanNode out;
   out.scheme = RenderScheme(node.scheme);
+  if (hoisting != nullptr) {
+    const std::vector<std::size_t>& b = hoisting->builds;
+    out.eval = !hoisting->scans[index] ? "once"
+               : std::find(b.begin(), b.end(), index) != b.end()
+                   ? "per shard, build once"
+                   : "per shard";
+  }
   // Executors record a fused chain's stats under the chain's top node; the
   // collapsed operators in between never evaluate separately.
   AttachStats(out, node.origin, stats);
@@ -124,13 +138,13 @@ PlanNode RenderPlan(
       out.detail = e.rename_from() + "→" + e.rename_to();
       break;
   }
-  out.children.push_back(RenderPlan(plan, plan.node(node.left), stats));
+  out.children.push_back(RenderPlan(plan, node.left, stats, hoisting));
   switch (node.kind) {
     case Plan::Kind::kUnion:
     case Plan::Kind::kDifference:
     case Plan::Kind::kProduct:
     case Plan::Kind::kJoin:
-      out.children.push_back(RenderPlan(plan, plan.node(node.right), stats));
+      out.children.push_back(RenderPlan(plan, node.right, stats, hoisting));
       break;
     default:
       break;
@@ -138,13 +152,17 @@ PlanNode RenderPlan(
   return out;
 }
 
-/// Plans `expr` against `schemes` (a Catalog or a Database) and renders it.
+/// Plans `expr` against `schemes` (a Catalog or a Database) and renders it;
+/// `par` marks a par(E) plan (see RenderPlan).
 template <typename Schemes>
 Result<PlanNode> BuildPlan(
     const ExprPtr& expr, const Schemes& schemes,
-    const std::unordered_map<const Expr*, EvalNodeStats>* stats) {
+    const std::unordered_map<const Expr*, EvalNodeStats>* stats,
+    bool par = false) {
   SETREC_ASSIGN_OR_RETURN(Plan plan, Plan::Build(*expr, schemes));
-  return RenderPlan(plan, plan.root(), stats);
+  const Plan::Hoisting hoisting = par ? plan.Hoist(kRecRelation)
+                                      : Plan::Hoisting();
+  return RenderPlan(plan, plan.size() - 1, stats, par ? &hoisting : nullptr);
 }
 
 std::string FormatNs(std::uint64_t ns) {
@@ -161,6 +179,7 @@ void RenderNode(const PlanNode& node, const std::string& indent, bool root,
   out += node.op;
   if (!node.detail.empty()) out += " [" + node.detail + "]";
   out += " :: " + node.scheme;
+  if (!node.eval.empty()) out += " {" + node.eval + "}";
   if (node.analyzed) {
     out += " (rows=" + std::to_string(node.actual_rows);
     if (node.build_rows > 0 || node.probe_rows > 0) {
@@ -185,6 +204,7 @@ void RenderNode(const PlanNode& node, const std::string& indent, bool root,
 void NodeToJson(const PlanNode& node, std::ostream& out) {
   out << "{\"op\":" << JsonQuoted(node.op) << ",\"detail\":"
       << JsonQuoted(node.detail) << ",\"scheme\":" << JsonQuoted(node.scheme);
+  if (!node.eval.empty()) out << ",\"eval\":" << JsonQuoted(node.eval);
   if (node.analyzed) {
     out << ",\"rows\":" << node.actual_rows << ",\"build\":" << node.build_rows
         << ",\"probes\":" << node.probe_rows << ",\"cache_hits\":"
@@ -395,13 +415,12 @@ Result<ExplainPlan> ExplainParallelApply(const AlgebraicUpdateMethod& method,
                (method.name().empty() ? "method" : method.name());
   plan.analyzed = analyze;
 
-  // One par(E) pipeline per statement (Definition 6.1).
-  std::vector<std::pair<PropertyId, ExprPtr>> pipelines;
-  pipelines.reserve(method.statements().size());
+  // One par(E) pipeline per statement.
+  std::vector<ExprPtr> pipelines;
   for (const UpdateStatement& stmt : method.statements()) {
     SETREC_ASSIGN_OR_RETURN(ExprPtr par_expr,
                             ParTransform(stmt.expression, mctx));
-    pipelines.emplace_back(stmt.property, par_expr);
+    pipelines.push_back(std::move(par_expr));
   }
 
   std::unordered_map<const Expr*, EvalNodeStats> stats;
@@ -410,30 +429,23 @@ Result<ExplainPlan> ExplainParallelApply(const AlgebraicUpdateMethod& method,
     ExecOptions opts = options;
     if (opts.metrics == nullptr) opts.metrics = &local_metrics;
     ExecScope scope(opts);
-
-    // Instantiate rec with the whole receiver set and evaluate every
-    // pipeline — the single-shard runtime path, whose logical counts the
-    // sharded runtime reproduces exactly.
-    SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(instance));
-    SETREC_ASSIGN_OR_RETURN(RelationScheme rec_scheme,
-                            RecScheme(mctx.signature));
-    SETREC_ASSIGN_OR_RETURN(Relation rec, RecRelation(rec_scheme, receivers));
-    db.Put(kRecRelation, std::move(rec));
-    Evaluator evaluator(&db, {.ctx = &scope.ctx(), .backend = opts.backend});
-    evaluator.set_node_stats(&stats);
-    for (const auto& [property, par_expr] : pipelines) {
-      SETREC_RETURN_IF_ERROR(evaluator.Eval(par_expr).status());
-    }
+    opts.ctx = &scope.ctx();
+    // ParallelApply's own prepare step and fan-out, at the options' worker
+    // count; nothing is applied.
+    SETREC_RETURN_IF_ERROR(EvaluateParPipelines(method, instance, receivers,
+                                                pipelines, opts, &stats));
     plan.counters = LogicalCounters(*scope.ctx().metrics());
   }
 
-  for (const auto& [property, par_expr] : pipelines) {
+  for (std::size_t i = 0; i < pipelines.size(); ++i) {
     PlanNode root;
     root.op = "ParStatement";
-    root.detail = mctx.schema->property(property).name + " := par(E)";
+    root.detail =
+        mctx.schema->property(method.statements()[i].property).name +
+        " := par(E)";
     SETREC_ASSIGN_OR_RETURN(
-        PlanNode body,
-        BuildPlan(par_expr, catalog, analyze ? &stats : nullptr));
+        PlanNode body, BuildPlan(pipelines[i], catalog,
+                                 analyze ? &stats : nullptr, /*par=*/true));
     root.scheme = body.scheme;
     if (analyze) {
       root.analyzed = body.analyzed;

@@ -42,6 +42,12 @@ struct PlanNode {
   /// Empty for plain EXPLAIN and for synthetic (non-evaluator) nodes.
   std::string backend;
 
+  /// par(E) operators only (empty elsewhere): where ParallelApply evaluates
+  /// the operator — "once" (it does not scan rec: hoisted into the prepare
+  /// step before the shard fan-out), "per shard", or "per shard, build
+  /// once" (a join probed per shard whose build side was hoisted).
+  std::string eval;
+
   std::vector<PlanNode> children;
 };
 
@@ -99,11 +105,13 @@ Result<ExplainPlan> ExplainSetOrientedUpdate(const Instance& instance,
                                              const ExecOptions& options = {});
 
 /// EXPLAIN [ANALYZE] for parallel application: renders the par(E) pipeline
-/// of every statement of `method` (Definition 6.1) over the `rec` receiver
-/// relation. ANALYZE instantiates rec with `receivers` over `instance` and
-/// evaluates the pipelines exactly as the single-shard runtime would — the
-/// logical counts equal any worker count's, which is the determinism
-/// guarantee the tests pin.
+/// of every statement of `method` (ParTransform) over the `rec` receiver
+/// relation, marking each operator as evaluated once (hoisted before the
+/// fan-out) or per shard. ANALYZE runs ParallelApply's own prepare step and
+/// fan-out (EvaluateParPipelines) with rec = `receivers` over `instance`, at
+/// options.num_workers, and merges the shards' statistics — the logical
+/// counts equal any worker count's, which is the determinism guarantee the
+/// tests pin.
 Result<ExplainPlan> ExplainParallelApply(const AlgebraicUpdateMethod& method,
                                          const Instance& instance,
                                          std::span<const Receiver> receivers,

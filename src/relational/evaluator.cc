@@ -8,11 +8,26 @@
 
 namespace setrec {
 
-Evaluator::Evaluator(const Database* database, const ExecOptions& options)
+namespace {
+
+bool Passes(const Tuple& t, const std::vector<Plan::Cond>& conds) {
+  for (const Plan::Cond& c : conds) {
+    if (!c.Holds(t)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+Evaluator::Evaluator(const Database* database, const ExecOptions& options,
+                     const Evaluator* parent)
     : database_(database),
+      parent_(parent),
       scope_(options),
       ctx_(&scope_.ctx()),
-      backend_(options.backend) {}
+      backend_(parent != nullptr ? parent->backend_ : options.backend),
+      auto_vectorize_(parent != nullptr ? parent->auto_vectorize_
+                                        : std::nullopt) {}
 
 Evaluator::~Evaluator() = default;
 
@@ -47,17 +62,41 @@ bool Evaluator::UseVectorized(const Plan& plan) {
   return *auto_vectorize_ && plan.vectorizable();
 }
 
+vectorized::Engine& Evaluator::engine() {
+  if (engine_ == nullptr) {
+    engine_ = std::make_unique<vectorized::Engine>(
+        database_, ctx_, parent_ != nullptr ? parent_->engine_.get() : nullptr);
+  }
+  return *engine_;
+}
+
 Result<std::shared_ptr<const Relation>> Evaluator::EvalShared(
     const ExprPtr& expr) {
   SETREC_ASSIGN_OR_RETURN(Plan plan, Plan::Build(*expr, *database_));
   roots_.insert(expr);
-  if (UseVectorized(plan)) {
-    if (engine_ == nullptr) {
-      engine_ = std::make_unique<vectorized::Engine>(database_, ctx_);
-    }
-    return engine_->Execute(std::move(plan), node_stats_);
-  }
+  if (UseVectorized(plan)) return engine().Execute(std::move(plan), node_stats_);
   return Exec(plan, plan.root());
+}
+
+Status Evaluator::Hoist(const ExprPtr& expr, const std::string& varying) {
+  SETREC_ASSIGN_OR_RETURN(Plan plan, Plan::Build(*expr, *database_));
+  roots_.insert(expr);
+  const Plan::Hoisting hoisting = plan.Hoist(varying);
+  if (UseVectorized(plan)) {
+    return engine().Hoist(std::move(plan), hoisting.once, hoisting.builds,
+                          node_stats_);
+  }
+  // In plan order, as the engine does, so both backends agree on memo hits.
+  for (std::size_t i : hoisting.once) {
+    SETREC_RETURN_IF_ERROR(Exec(plan, plan.node(i)).status());
+  }
+  for (std::size_t j : hoisting.builds) {
+    const Plan::Node& node = plan.node(j);
+    if (builds_.contains(node.origin)) continue;
+    builds_.emplace(node.origin,
+                    BuildIndex(node, cache_.at(plan.node(node.right).origin)));
+  }
+  return Status::OK();
 }
 
 Result<std::shared_ptr<const Relation>> Evaluator::Exec(
@@ -66,6 +105,15 @@ Result<std::shared_ptr<const Relation>> Evaluator::Exec(
   if (it != cache_.end()) {
     if (node_stats_ != nullptr) ++(*node_stats_)[node.origin].cache_hits;
     return it->second;
+  }
+  if (parent_ != nullptr) {
+    // Hoisted by the parent: adopted as this evaluator's own first
+    // evaluation (no hit, no stats — the parent recorded the work).
+    auto p = parent_->cache_.find(node.origin);
+    if (p != parent_->cache_.end()) {
+      cache_.emplace(node.origin, p->second);
+      return p->second;
+    }
   }
   if (node_stats_ == nullptr) {
     SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> result,
@@ -202,33 +250,19 @@ Result<Relation> Evaluator::ExecJoin(const Plan& plan,
   SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> right_ptr,
                           Exec(plan, plan.node(node.right)));
   const Relation& left = *left_ptr;
-  const Relation& right = *right_ptr;
-
-  auto passes = [](const Tuple& t, const std::vector<Plan::Cond>& conds) {
-    for (const Plan::Cond& c : conds) {
-      if (!c.Holds(t)) return false;
-    }
-    return true;
-  };
 
   MetricsRegistry* metrics = ctx_->metrics();
 
-  // Build the hash table on the right side, keyed by the join attributes.
-  std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash> index;
-  {
-    TraceSpan build_span = StartSpan(*ctx_, "evaluator/join-build");
-    index.reserve(right.size());
-    std::uint64_t built = 0;
-    for (const Tuple& t : right) {
-      if (!passes(t, node.build_filters)) continue;
-      index[t.Project(node.right_key)].push_back(&t);
-      ++built;
-    }
-    if (metrics != nullptr) metrics->engine.eval_join_build_rows.Add(built);
-    if (node_stats_ != nullptr) {
-      (*node_stats_)[node.origin].build_rows += built;
-    }
+  // The hash table on the right side: hoisted by this evaluator or its
+  // parent when the right side is shared by every slice, else built here.
+  std::shared_ptr<const JoinIndex> built;
+  for (const Evaluator* e = this; e != nullptr && built == nullptr;
+       e = e->parent_) {
+    auto b = e->builds_.find(node.origin);
+    if (b != e->builds_.end()) built = b->second;
   }
+  if (built == nullptr) built = BuildIndex(node, std::move(right_ptr));
+  const auto& index = built->index;
 
   const std::uint64_t tuple_bytes =
       static_cast<std::uint64_t>(node.scheme.arity()) * sizeof(ObjectId);
@@ -242,7 +276,7 @@ Result<Relation> Evaluator::ExecJoin(const Plan& plan,
     (*node_stats_)[node.origin].probe_rows += left.size();
   }
   for (const Tuple& lt : left) {
-    if (!passes(lt, node.probe_filters)) continue;
+    if (!Passes(lt, node.probe_filters)) continue;
     auto it = index.find(lt.Project(node.left_key));
     if (it == index.end()) continue;
     for (const Tuple* rt : it->second) {
@@ -265,6 +299,25 @@ Result<Relation> Evaluator::ExecJoin(const Plan& plan,
     }
   }
   return out;
+}
+
+std::shared_ptr<const Evaluator::JoinIndex> Evaluator::BuildIndex(
+    const Plan::Node& node, std::shared_ptr<const Relation> right) {
+  TraceSpan build_span = StartSpan(*ctx_, "evaluator/join-build");
+  auto built = std::make_shared<JoinIndex>();
+  built->right = std::move(right);
+  built->index.reserve(built->right->size());
+  std::uint64_t rows = 0;
+  for (const Tuple& t : *built->right) {
+    if (!Passes(t, node.build_filters)) continue;
+    built->index[t.Project(node.right_key)].push_back(&t);
+    ++rows;
+  }
+  if (MetricsRegistry* metrics = ctx_->metrics(); metrics != nullptr) {
+    metrics->engine.eval_join_build_rows.Add(rows);
+  }
+  if (node_stats_ != nullptr) (*node_stats_)[node.origin].build_rows += rows;
+  return built;
 }
 
 Result<Relation> Evaluate(const ExprPtr& expr, const Database& database,

@@ -3,8 +3,10 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "core/exec_backend.h"
 #include "core/exec_context.h"
@@ -62,7 +64,15 @@ class Evaluator {
   /// backend is fixed here: kAuto latches on the first Eval so that every
   /// expression this evaluator touches runs under one backend — the memo
   /// cache, and therefore the cache-hit counters, have one semantic domain.
-  explicit Evaluator(const Database* database, const ExecOptions& options = {});
+  ///
+  /// A `parent` is a frozen evaluator that has run Hoist: this evaluator
+  /// takes the parent's memoized results and join builds instead of
+  /// recomputing them, and runs on the backend the parent latched
+  /// (options.backend is ignored). Children read the parent without locks,
+  /// from any thread, so the parent must outlive them and must not evaluate
+  /// anything while they exist.
+  explicit Evaluator(const Database* database, const ExecOptions& options = {},
+                     const Evaluator* parent = nullptr);
 
   // Constructors and destructor are out of line: the vectorized engine
   // member is incomplete here.
@@ -80,6 +90,16 @@ class Evaluator {
   /// relations, which alias the bound Database's storage) cost a hash
   /// lookup plus a refcount bump, never a deep copy.
   Result<std::shared_ptr<const Relation>> EvalShared(const ExprPtr& expr);
+
+  /// The prepare step of a fan-out over slices of relation `varying`: plans
+  /// `expr` and computes what Plan::Hoist finds can be computed once —
+  /// every maximal subterm that does not scan `varying`, and the hash
+  /// table of every fused join that scans it on its probe (left) side
+  /// only. Children of this evaluator then compute only what scans
+  /// `varying`, so the logical counters of the parent plus its children do
+  /// not depend on how `varying` was sliced. Latches kAuto on this
+  /// evaluator's (full) inputs.
+  Status Hoist(const ExprPtr& expr, const std::string& varying);
 
   /// Attaches a per-node statistics sink (borrowed; may be null to detach).
   /// While attached, every Eval records output rows, join build/probe
@@ -101,9 +121,20 @@ class Evaluator {
   /// A fused σ-chain over a product, executed as a hash join instead of
   /// materializing the product. The paper's expressions are built almost
   /// exclusively from theta-joins (σ_{aθb}(l × r)), and the par(E)
-  /// rewriting multiplies every relation by π_self(rec), so without fusion
+  /// rewriting joins receiver-dependent sides on self, so without fusion
   /// intermediate results grow with the square of the receiver-set size.
+  /// The build side comes from Hoist (here or in the parent) when one was
+  /// made for this join.
   Result<Relation> ExecJoin(const Plan& plan, const Plan::Node& node);
+
+  /// A fused join's hash table over its filtered right (build) side, keyed
+  /// by the join attributes. Points into `right`, which it keeps alive.
+  struct JoinIndex {
+    std::shared_ptr<const Relation> right;
+    std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash> index;
+  };
+  std::shared_ptr<const JoinIndex> BuildIndex(
+      const Plan::Node& node, std::shared_ptr<const Relation> right);
 
   /// Whether `plan` should run on the compiled vectorized backend. Forced
   /// backends answer directly (kVectorized still requires coverage); kAuto
@@ -111,7 +142,12 @@ class Evaluator {
   /// the plan's base relations hold kAutoVectorizeInputRows rows.
   bool UseVectorized(const Plan& plan);
 
+  /// The compiled backend, built on first use (a child's engine reads the
+  /// parent's).
+  vectorized::Engine& engine();
+
   const Database* database_;
+  const Evaluator* parent_;
   ExecScope scope_;
   ExecContext* ctx_;
   ExecBackend backend_;
@@ -123,6 +159,8 @@ class Evaluator {
   // temporary's result.
   std::unordered_set<ExprPtr> roots_;
   std::unordered_map<const Expr*, std::shared_ptr<const Relation>> cache_;
+  // Join builds made by Hoist, keyed like cache_ by the join's origin.
+  std::unordered_map<const Expr*, std::shared_ptr<const JoinIndex>> builds_;
   std::unordered_map<const Expr*, EvalNodeStats>* node_stats_ = nullptr;
 };
 

@@ -248,6 +248,32 @@ Result<Plan> Plan::Build(const Expr& root, const Database& database) {
   return Builder(nullptr, &database).Run(root);
 }
 
+Plan::Hoisting Plan::Hoist(const std::string& varying) const {
+  Hoisting out;
+  out.scans.assign(nodes_.size(), false);
+  std::vector<bool> feeds(nodes_.size(), false);  // input of a scanning op
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
+    if (n.kind == Kind::kScan) {
+      out.scans[i] = n.origin->relation_name() == varying;
+      continue;
+    }
+    const bool binary = n.kind == Kind::kUnion ||
+                        n.kind == Kind::kDifference ||
+                        n.kind == Kind::kProduct || n.kind == Kind::kJoin;
+    out.scans[i] = out.scans[n.left] || (binary && out.scans[n.right]);
+    if (!out.scans[i]) continue;
+    feeds[n.left] = true;
+    if (binary) feeds[n.right] = true;
+    if (n.kind == Kind::kJoin && !out.scans[n.right]) out.builds.push_back(i);
+  }
+  feeds.back() = true;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (feeds[i] && !out.scans[i]) out.once.push_back(i);
+  }
+  return out;
+}
+
 Result<RelationScheme> InferScheme(const Expr& expr, const Catalog& catalog) {
   SETREC_ASSIGN_OR_RETURN(Plan plan, Plan::Build(expr, catalog));
   return plan.root().scheme;

@@ -104,6 +104,21 @@ class Plan {
     return base_relations_;
   }
 
+  /// What a fan-out over slices of base relation `varying` can compute
+  /// once, before the fan-out (Evaluator::Hoist does; EXPLAIN shows it).
+  struct Hoisting {
+    /// Per node (indexed like nodes()): whether its subterm scans
+    /// `varying`, i.e. must be computed per slice.
+    std::vector<bool> scans;
+    /// The maximal subterms that do not scan `varying` — inputs of
+    /// operators that do, or the root itself — in plan order.
+    std::vector<std::size_t> once;
+    /// The joins that scan `varying` on their probe (left) side only: their
+    /// hash table over the right side can be built once.
+    std::vector<std::size_t> builds;
+  };
+  Hoisting Hoist(const std::string& varying) const;
+
   /// Whether the compiled vectorized backend lowers every operator.
   bool vectorizable() const { return vectorizable_; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <optional>
 #include <unordered_set>
 
 #include "relational/vectorized/kernels.h"
@@ -25,6 +24,15 @@ std::vector<std::uint32_t> Narrow(const std::vector<std::size_t>& cols) {
   return {cols.begin(), cols.end()};
 }
 
+/// Clears the mask bits of `t`'s rows failing any of `conds`.
+void AndConds(const ColumnTable& t, const std::vector<Plan::Cond>& conds,
+              std::vector<std::uint8_t>& mask) {
+  for (const Plan::Cond& c : conds) {
+    AndEqualityMask(t, static_cast<std::uint32_t>(c.ia),
+                    static_cast<std::uint32_t>(c.ib), c.equal, mask);
+  }
+}
+
 /// Lowers one plan into a flat program. The compiler walks the plan in the
 /// interpreter's exact evaluation order. Every repeated reference to a node
 /// becomes a kMemoLoad, never a raw register reuse: a register defined
@@ -35,7 +43,9 @@ class Compiler {
  public:
   explicit Compiler(Program& program) : program_(program) {}
 
-  void Compile() { Emit(program_.plan.root()); }
+  /// Appends the block computing `root`; blocks compiled earlier into the
+  /// same program stay available to it.
+  void Compile(const Plan::Node& root) { Emit(root); }
 
  private:
   const Plan::Node& Input(std::size_t i) const {
@@ -172,16 +182,51 @@ class Compiler {
 
 }  // namespace
 
+struct Engine::JoinBuild {
+  JoinBuild(ColumnTable rows, std::vector<std::uint32_t> keys)
+      : table(std::move(rows)), index(&table, std::move(keys)) {}
+  JoinBuild(const JoinBuild&) = delete;
+  JoinBuild& operator=(const JoinBuild&) = delete;
+
+  ColumnTable table;
+  RowHashTable index;  // points into `table`
+};
+
 Result<std::shared_ptr<const Relation>> Engine::Execute(
     Plan plan, std::unordered_map<const Expr*, EvalNodeStats>* stats) {
   Program program{std::move(plan), {}, 0};
-  Compiler(program).Compile();
-  return Run(program, stats);
+  Compiler(program).Compile(program.plan.root());
+  SETREC_RETURN_IF_ERROR(Run(program, stats));
+  MemoEntry& entry = memo_[program.plan.root().origin];
+  if (entry.table == nullptr) {
+    return Status::Internal("vectorized program produced no result");
+  }
+  if (entry.rel == nullptr) {
+    entry.rel = std::make_shared<const Relation>(ToRelation(*entry.table));
+  }
+  return entry.rel;
 }
 
-Result<std::shared_ptr<const Relation>> Engine::Run(
-    const Program& program,
-    std::unordered_map<const Expr*, EvalNodeStats>* stats) {
+Status Engine::Hoist(Plan plan, std::span<const std::size_t> once,
+                     std::span<const std::size_t> builds,
+                     std::unordered_map<const Expr*, EvalNodeStats>* stats) {
+  Program program{std::move(plan), {}, 0};
+  Compiler compiler(program);
+  for (std::size_t i : once) compiler.Compile(program.plan.node(i));
+  SETREC_RETURN_IF_ERROR(Run(program, stats));
+  for (std::size_t j : builds) {
+    const Plan::Node& node = program.plan.node(j);
+    if (builds_.contains(node.origin)) continue;
+    const ColumnTable& right =
+        *memo_.at(program.plan.node(node.right).origin).table;
+    builds_.emplace(node.origin, Build(node, right, Narrow(node.right_key)));
+    if (stats != nullptr) (*stats)[node.origin].backend = "bytecode";
+  }
+  return Status::OK();
+}
+
+Status Engine::Run(const Program& program,
+                   std::unordered_map<const Expr*, EvalNodeStats>* stats) {
   join_stats_ = stats;
 
   std::vector<std::shared_ptr<const ColumnTable>> regs(program.num_regs);
@@ -231,6 +276,17 @@ Result<std::shared_ptr<const Relation>> Engine::Run(
           pc = in.target;
           continue;
         }
+        if (parent_ != nullptr) {
+          // Hoisted by the parent: adopted as this engine's own first
+          // evaluation (no hit, no stats), as the interpreter does.
+          auto p = parent_->memo_.find(origin);
+          if (p != parent_->memo_.end()) {
+            regs[in.dst] = p->second.table;
+            memo_.emplace(origin, p->second);
+            pc = in.target;
+            continue;
+          }
+        }
         if (stats != nullptr) open.emplace_back(origin, Clock::now());
         break;
       }
@@ -279,15 +335,7 @@ Result<std::shared_ptr<const Relation>> Engine::Run(
     }
     ++pc;
   }
-
-  MemoEntry& entry = memo_[program.plan.root().origin];
-  if (entry.table == nullptr) {
-    return Status::Internal("vectorized program produced no result");
-  }
-  if (entry.rel == nullptr) {
-    entry.rel = std::make_shared<const Relation>(ToRelation(*entry.table));
-  }
-  return entry.rel;
+  return Status::OK();
 }
 
 Result<ColumnTable> Engine::RunOp(
@@ -440,39 +488,18 @@ Result<ColumnTable> Engine::RunHashJoin(
       static_cast<std::uint64_t>(node.scheme.arity()) * sizeof(ObjectId);
   const std::vector<std::uint32_t>& left_keys = in.left_keys;
   const std::vector<std::uint32_t>& right_keys = in.right_keys;
-  auto filter = [](const ColumnTable& t, const std::vector<Plan::Cond>& conds,
-                   std::vector<std::uint8_t>& mask) {
-    for (const Plan::Cond& c : conds) {
-      AndEqualityMask(t, static_cast<std::uint32_t>(c.ia),
-                      static_cast<std::uint32_t>(c.ib), c.equal, mask);
-    }
-  };
 
-  // Build: filter the right side with its local conditions, gather the
-  // survivors into a dense build table, index it by the join keys. The
-  // insertion count is the interpreter's build_rows.
-  ColumnTable build;
-  std::optional<RowHashTable> index;
-  {
-    TraceSpan build_span = StartSpan(*ctx_, "evaluator/join-build");
-    std::vector<std::uint8_t> mask(right.rows, 1);
-    filter(right, node.build_filters, mask);
-    const std::vector<std::uint32_t> sel = MaskToSelection(mask);
-    build = Gather(right, AllColumns(ra), sel, right.scheme);
-    index.emplace(&build, right_keys);
-    index->Reserve(build.rows);
-    std::vector<std::uint64_t> bh;
-    HashRows(build, right_keys, bh);
-    for (std::size_t i = 0; i < build.rows; ++i) {
-      index->Insert(static_cast<std::uint32_t>(i), bh[i]);
-    }
-    if (metrics != nullptr) {
-      metrics->engine.eval_join_build_rows.Add(build.rows);
-    }
-    if (join_stats_ != nullptr) {
-      (*join_stats_)[node.origin].build_rows += build.rows;
-    }
+  // The build side: hoisted by this engine or its parent when the right
+  // side is shared by every slice, else built here.
+  std::shared_ptr<const JoinBuild> built;
+  for (const Engine* e = this; e != nullptr && built == nullptr;
+       e = e->parent_) {
+    auto b = e->builds_.find(node.origin);
+    if (b != e->builds_.end()) built = b->second;
   }
+  if (built == nullptr) built = Build(node, right, right_keys);
+  const ColumnTable& build = built->table;
+  const RowHashTable& index = built->index;
 
   // Probe: every left row counts as a probe (worker- and backend-invariant);
   // key-matched pairs are charged in batches before residual cross
@@ -484,7 +511,7 @@ Result<ColumnTable> Engine::RunHashJoin(
     (*join_stats_)[node.origin].probe_rows += left.rows;
   }
   std::vector<std::uint8_t> lmask(left.rows, 1);
-  filter(left, node.probe_filters, lmask);
+  AndConds(left, node.probe_filters, lmask);
   std::vector<std::uint64_t> lh;
   HashRows(left, left_keys, lh);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
@@ -525,15 +552,43 @@ Result<ColumnTable> Engine::RunHashJoin(
   for (std::size_t li = 0; li < left.rows; ++li) {
     if (!lmask[li]) continue;
     std::uint32_t row =
-        index->Find(left, left_keys, static_cast<std::uint32_t>(li), lh[li]);
+        index.Find(left, left_keys, static_cast<std::uint32_t>(li), lh[li]);
     while (row != RowHashTable::kNone) {
       pairs.emplace_back(static_cast<std::uint32_t>(li), row);
       if (pairs.size() == kBatchWidth) SETREC_RETURN_IF_ERROR(flush());
-      row = index->NextInChain(row);
+      row = index.NextInChain(row);
     }
   }
   SETREC_RETURN_IF_ERROR(flush());
   return out;
+}
+
+std::shared_ptr<const Engine::JoinBuild> Engine::Build(
+    const Plan::Node& node, const ColumnTable& right,
+    const std::vector<std::uint32_t>& right_keys) {
+  // Filter the right side with its local conditions, gather the survivors
+  // into a dense build table, index it by the join keys. The insertion
+  // count is the interpreter's build_rows.
+  TraceSpan build_span = StartSpan(*ctx_, "evaluator/join-build");
+  std::vector<std::uint8_t> mask(right.rows, 1);
+  AndConds(right, node.build_filters, mask);
+  const std::vector<std::uint32_t> sel = MaskToSelection(mask);
+  auto built = std::make_shared<JoinBuild>(
+      Gather(right, AllColumns(right.arity()), sel, right.scheme), right_keys);
+  const ColumnTable& table = built->table;
+  built->index.Reserve(table.rows);
+  std::vector<std::uint64_t> bh;
+  HashRows(table, right_keys, bh);
+  for (std::size_t i = 0; i < table.rows; ++i) {
+    built->index.Insert(static_cast<std::uint32_t>(i), bh[i]);
+  }
+  if (MetricsRegistry* metrics = ctx_->metrics(); metrics != nullptr) {
+    metrics->engine.eval_join_build_rows.Add(table.rows);
+  }
+  if (join_stats_ != nullptr) {
+    (*join_stats_)[node.origin].build_rows += table.rows;
+  }
+  return built;
 }
 
 }  // namespace setrec::vectorized

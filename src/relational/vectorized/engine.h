@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -73,22 +74,33 @@ struct Program {
 /// cache-hit counts and EvalNodeStats shape. Both lower the same Plan, so
 /// type errors are reported identically, before any work.
 ///
-/// Two caches live as long as the engine:
-///  - loads_: transposed base relations by name,
-///  - memo_:  per-node results — the analogue of the interpreter's memo,
-///            keyed by node address, so the owner must keep every executed
-///            expression alive for the engine's lifetime (the Evaluator
-///            pins its roots).
+/// Three caches live as long as the engine:
+///  - loads_:  transposed base relations by name,
+///  - memo_:   per-node results — the analogue of the interpreter's memo,
+///             keyed by node address, so the owner must keep every executed
+///             expression alive for the engine's lifetime (the Evaluator
+///             pins its roots),
+///  - builds_: join build tables made by Hoist, keyed like memo_.
+/// A child engine (the shards of a fan-out) reads its parent's memo_ and
+/// builds_ without locks; the parent must not run while children exist.
 class Engine {
  public:
-  Engine(const Database* database, ExecContext* ctx)
-      : database_(database), ctx_(ctx) {}
+  Engine(const Database* database, ExecContext* ctx,
+         const Engine* parent = nullptr)
+      : database_(database), ctx_(ctx), parent_(parent) {}
 
   /// Compiles `plan` (built against this engine's database) and runs it.
   /// `stats` may be null; when given it receives the same per-node
   /// statistics the interpreter records.
   Result<std::shared_ptr<const Relation>> Execute(
       Plan plan, std::unordered_map<const Expr*, EvalNodeStats>* stats);
+
+  /// The vectorized half of Evaluator::Hoist: runs the `once` nodes of
+  /// `plan` (in order) and builds the hash table of every `builds` join
+  /// over its already-computed right input.
+  Status Hoist(Plan plan, std::span<const std::size_t> once,
+               std::span<const std::size_t> builds,
+               std::unordered_map<const Expr*, EvalNodeStats>* stats);
 
  private:
   struct MemoEntry {
@@ -99,23 +111,31 @@ class Engine {
     std::shared_ptr<const Relation> rel;
   };
 
-  Result<std::shared_ptr<const Relation>> Run(
-      const Program& program,
-      std::unordered_map<const Expr*, EvalNodeStats>* stats);
+  /// A fused join's build side: the right input's rows passing the build
+  /// filters, gathered densely and indexed by the join keys.
+  struct JoinBuild;
+
+  Status Run(const Program& program,
+             std::unordered_map<const Expr*, EvalNodeStats>* stats);
   Result<ColumnTable> RunOp(
       const Insn& in,
       const std::vector<std::shared_ptr<const ColumnTable>>& regs);
   Result<ColumnTable> RunHashJoin(
       const Insn& in,
       const std::vector<std::shared_ptr<const ColumnTable>>& regs);
+  std::shared_ptr<const JoinBuild> Build(
+      const Plan::Node& node, const ColumnTable& right,
+      const std::vector<std::uint32_t>& right_keys);
 
   const Database* database_;
   ExecContext* ctx_;
+  const Engine* parent_;
   // Stats sink of the Execute in flight (kHashJoin tallies build/probe rows
   // mid-operator, before its node finishes); null when stats are detached.
   std::unordered_map<const Expr*, EvalNodeStats>* join_stats_ = nullptr;
   std::unordered_map<const Expr*, MemoEntry> memo_;
   std::unordered_map<std::string, std::shared_ptr<const ColumnTable>> loads_;
+  std::unordered_map<const Expr*, std::shared_ptr<const JoinBuild>> builds_;
 };
 
 }  // namespace setrec::vectorized

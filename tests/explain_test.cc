@@ -17,8 +17,11 @@
 
 #include "algebraic/method_library.h"
 #include "algebraic/order_independence.h"
+#include "algebraic/parallel.h"
 #include "core/instance_generator.h"
 #include "core/thread_pool.h"
+#include "par_literal.h"
+#include "relational/evaluator.h"
 #include "relational/builder.h"
 #include "sql/improve.h"
 #include "sql/table.h"
@@ -219,56 +222,60 @@ TEST_F(ExplainPayrollTest, GoldenManagerTwoPhaseQuery) {
   EXPECT_EQ(text, R"golden(EXPLAIN: set-oriented UPDATE Salary
 ReceiverQuery [phase 1: evaluated against the pre-statement state] :: (self, New)
   -> Project [self, New] :: (self, New)
-     -> Select [Sal2=Old] :: (self, Emp, Manager, Emp2, Sal2, Old, New)
-        -> Project [self, Emp, Manager, Emp2, Sal2, Old, New] :: (self, Emp, Manager, Emp2, Sal2, Old, New)
-           -> HashJoin [keys: self=self§] :: (self, Emp, Manager, Emp2, Sal2, self§, Old, New)
-              -> Select [Manager=Emp2] :: (self, Emp, Manager, Emp2, Sal2)
-                 -> Project [self, Emp, Manager, Emp2, Sal2] :: (self, Emp, Manager, Emp2, Sal2)
-                    -> HashJoin [keys: self=self§] :: (self, Emp, Manager, self§, Emp2, Sal2)
-                       -> Select [self=Emp] :: (self, Emp, Manager)
-                          -> Project [self, Emp, Manager] :: (self, Emp, Manager)
-                             -> HashJoin [keys: self=self§] :: (self, self§, Emp, Manager)
-                                -> Project [self] :: (self)
-                                   -> Rename [Emp→self] :: (self)
-                                      -> Project [Emp] :: (Emp)
-                                         -> Scan Emp :: (Emp)
-                                -> Rename [self→self§] :: (self§, Emp, Manager)
-                                   -> Product :: (self, Emp, Manager)
-                                      -> Project [self] :: (self)
-                                         -> Rename [Emp→self] :: (self)
-                                            -> Project [Emp] :: (Emp)
-                                               -> Scan Emp :: (Emp)
-                                      -> Scan EmpManager :: (Emp, Manager)
-                       -> Rename [self→self§] :: (self§, Emp2, Sal2)
-                          -> Rename [Salary→Sal2] :: (self, Emp2, Sal2)
-                             -> Rename [Emp→Emp2] :: (self, Emp2, Salary)
-                                -> Product :: (self, Emp, Salary)
-                                   -> Project [self] :: (self)
-                                      -> Rename [Emp→self] :: (self)
-                                         -> Project [Emp] :: (Emp)
-                                            -> Scan Emp :: (Emp)
-                                   -> Scan EmpSalary :: (Emp, Salary)
-              -> Rename [self→self§] :: (self§, Old, New)
-                 -> Project [self, Old, New] :: (self, Old, New)
-                    -> Select [NS=NS2] :: (self, NS, Old, NS2, New)
-                       -> Project [self, NS, Old, NS2, New] :: (self, NS, Old, NS2, New)
-                          -> HashJoin [keys: self=self§] :: (self, NS, Old, self§, NS2, New)
-                             -> Product :: (self, NS, Old)
-                                -> Project [self] :: (self)
-                                   -> Rename [Emp→self] :: (self)
-                                      -> Project [Emp] :: (Emp)
-                                         -> Scan Emp :: (Emp)
-                                -> Scan NSOld :: (NS, Old)
-                             -> Rename [self→self§] :: (self§, NS2, New)
-                                -> Rename [NS→NS2] :: (self, NS2, New)
-                                   -> Product :: (self, NS, New)
-                                      -> Project [self] :: (self)
-                                         -> Rename [Emp→self] :: (self)
-                                            -> Project [Emp] :: (Emp)
-                                               -> Scan Emp :: (Emp)
-                                      -> Scan NSNew :: (NS, New)
+     -> HashJoin [keys: Sal2=Old] :: (self, Emp, Manager, Emp2, Sal2, Old, New)
+        -> HashJoin [keys: Manager=Emp2] :: (self, Emp, Manager, Emp2, Sal2)
+           -> HashJoin [keys: self=Emp] :: (self, Emp, Manager)
+              -> Project [self] :: (self)
+                 -> Rename [Emp→self] :: (self)
+                    -> Project [Emp] :: (Emp)
+                       -> Scan Emp :: (Emp)
+              -> Scan EmpManager :: (Emp, Manager)
+           -> Rename [Salary→Sal2] :: (Emp2, Sal2)
+              -> Rename [Emp→Emp2] :: (Emp2, Salary)
+                 -> Scan EmpSalary :: (Emp, Salary)
+        -> Project [Old, New] :: (Old, New)
+           -> HashJoin [keys: NS=NS2] :: (NS, Old, NS2, New)
+              -> Scan NSOld :: (NS, Old)
+              -> Rename [NS→NS2] :: (NS2, New)
+                 -> Scan NSNew :: (NS, New)
 Apply [Salary := arg1 over the receiver key set] :: (self, New)
 )golden");
+}
+
+TEST_F(ExplainPayrollTest, ManagerTwoPhaseQueryMatchesLiteralOracle) {
+  // The receiver query pinned by GoldenManagerTwoPhaseQuery comes from the
+  // hoisting par(E) rewrite; built from the literal Definition 6.1 rewrite
+  // instead, it yields the same rows and the same update.
+  auto method = std::move(MakeSalaryFromManagersNewSal(ps_)).value();
+  const ExprPtr rec_source =
+      ra::Rename(ra::Project(ra::Rel("Emp"), {"Emp"}), "Emp", "self");
+  ImprovedUpdate hoisted =
+      std::move(ImproveCursorUpdate(*method, rec_source, /*verify=*/false))
+          .value();
+  const ExprPtr literal = SubstituteRelation(
+      std::move(LiteralParTransform(method->statements()[0].expression,
+                                    method->context()))
+          .value(),
+      kRecRelation, rec_source);
+
+  std::vector<EmployeeRow> employees;
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    employees.push_back(EmployeeRow{
+        i, 100 + (i % 4),
+        i % 5 == 0 ? std::nullopt : std::optional<std::uint32_t>(i / 3)});
+  }
+  const std::vector<NewSalRow> raises = {{100, 150}, {101, 151}, {103, 153}};
+  const Instance db =
+      std::move(BuildPayrollInstance(ps_, employees, {}, raises)).value();
+  const Database encoded = std::move(EncodeInstance(db)).value();
+  const Relation rows =
+      std::move(Evaluate(hoisted.receiver_query, encoded)).value();
+  EXPECT_GT(rows.size(), 0u);
+  EXPECT_TRUE(rows == std::move(Evaluate(literal, encoded)).value());
+  EXPECT_EQ(std::move(ApplyImprovedUpdate(hoisted, db)).value(),
+            std::move(ApplyImprovedUpdate(
+                          ImprovedUpdate{literal, hoisted.property}, db))
+                .value());
 }
 
 TEST_F(ExplainPayrollTest, GoldenParallelApplyPipeline) {
@@ -290,6 +297,54 @@ TEST_F(ExplainPayrollTest, GoldenParallelApplyPipeline) {
                                                      /*analyze=*/false))
                           .value();
   EXPECT_EQ(text, again.ToText());
+}
+
+TEST_F(ExplainPayrollTest, GoldenParallelApplyMarksHoistedOperators) {
+  // Every par(E) operator says where ParallelApply evaluates it: NewSal
+  // reads no receiver, so it is evaluated once before the fan-out, and the
+  // join that rec probes builds its hash table over it once.
+  auto method = std::move(MakeSalaryFromNewSal(ps_)).value();
+  ExplainPlan plan = std::move(ExplainParallelApply(*method, SmallDb(), {},
+                                                    /*analyze=*/false))
+                         .value();
+  EXPECT_EQ(plan.ToText(), R"golden(EXPLAIN: parallel application of set_salary
+ParStatement [Salary := par(E)] :: (self, New)
+  -> Project [self, New] :: (self, New) {per shard}
+     -> HashJoin [keys: arg1=Old] :: (self, arg1, Old, New) {per shard, build once}
+        -> Project [self, arg1] :: (self, arg1) {per shard}
+           -> Scan rec :: (self, arg1) {per shard}
+        -> Project [Old, New] :: (Old, New) {once}
+           -> HashJoin [keys: NS=NS2] :: (NS, Old, NS2, New) {once}
+              -> Scan NSOld :: (NS, Old) {once}
+              -> Rename [NS→NS2] :: (NS2, New) {once}
+                 -> Scan NSNew :: (NS, New) {once}
+)golden");
+  EXPECT_NE(plan.ToJson().find("\"eval\":\"per shard, build once\""),
+            std::string::npos);
+
+  // ANALYZE at 4 workers: the hoisted join and build are charged once, the
+  // probes once per receiver, exactly as at one worker.
+  const Instance db = LargeDb();
+  ThreadPool pool(4);
+  ExecOptions options;
+  options.num_workers = 4;
+  options.pool = &pool;
+  ExplainPlan analyzed =
+      std::move(ExplainParallelApply(*method, db, SalaryReceivers(db),
+                                     /*analyze=*/true, options))
+          .value();
+  const PlanNode& join = analyzed.roots[0].children[0].children[0];
+  ASSERT_EQ(join.eval, "per shard, build once");
+  EXPECT_EQ(join.build_rows, 16u);
+  EXPECT_EQ(join.probe_rows, 100u);
+  EXPECT_EQ(join.actual_rows, 100u);
+  const PlanNode& new_sal = join.children[1].children[0];
+  ASSERT_EQ(new_sal.eval, "once");
+  EXPECT_EQ(new_sal.build_rows, 16u);
+  EXPECT_EQ(new_sal.probe_rows, 16u);
+  EXPECT_EQ(analyzed.counters.at("evaluator.join_build_rows"), 32u);
+  EXPECT_EQ(analyzed.counters.at("evaluator.join_probes"), 116u);
+  EXPECT_EQ(analyzed.counters.at("evaluator.rows"), 116u);
 }
 
 TEST_F(ExplainPayrollTest, ToJsonIsOneParseableLine) {

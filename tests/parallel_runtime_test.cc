@@ -15,6 +15,7 @@
 #include "algebraic/method_library.h"
 #include "algebraic/parallel.h"
 #include "core/instance_generator.h"
+#include "obs/metrics.h"
 #include "core/thread_pool.h"
 #include "relational/relation.h"
 #include "sql/table.h"
@@ -282,6 +283,58 @@ TEST_P(RandomizedDeterminismTest, RandomReceiverSetsAreWorkerCountInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedDeterminismTest,
                          ::testing::Range<std::uint64_t>(1, 17));
+
+/// The prepare step really hoists: for the payroll statement (B') over
+/// N = 2048 employees and 16 salary levels, NewSal = NSOld ⋈ NSNew is
+/// joined once (16 build rows, 16 probes, 16 rows) and its 16 rows are
+/// built once into the hash table that rec probes (16 build rows, one
+/// probe and one output row per receiver) — at every worker count, on both
+/// backends. The literal Definition 6.1 rewrite charges 1 + 256 rows per
+/// receiver instead, and sharing the hoisted results without the join
+/// builds charged the build once per shard.
+TEST(ParallelApplyHoistingTest, PayrollJoinBuildsAreChargedOnce) {
+  constexpr std::uint32_t kEmployees = 2048;
+  PayrollSchema schema = std::move(MakePayrollSchema()).value();
+  std::vector<EmployeeRow> employees;
+  std::vector<NewSalRow> raises;
+  for (std::uint32_t i = 0; i < kEmployees; ++i) {
+    employees.push_back(EmployeeRow{i, 1000 + (i % 16), std::nullopt});
+  }
+  for (std::uint32_t s = 0; s < 16; ++s) {
+    raises.push_back(NewSalRow{1000 + s, 2000 + s});
+  }
+  Instance instance =
+      std::move(BuildPayrollInstance(schema, employees, {}, raises)).value();
+  auto method = std::move(MakeSalaryFromNewSal(schema)).value();
+  std::vector<Receiver> receivers;
+  const auto salaries = std::move(ReadSalaries(schema, instance)).value();
+  for (auto [id, salary] : salaries) {
+    receivers.push_back(Receiver::Unchecked(
+        {ObjectId(schema.emp, id), ObjectId(schema.val, salary)}));
+  }
+  ASSERT_EQ(receivers.size(), kEmployees);
+
+  ThreadPool pool(4);
+  for (ExecBackend backend :
+       {ExecBackend::kInterpreter, ExecBackend::kVectorized}) {
+    for (std::size_t workers :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      MetricsRegistry metrics;
+      ASSERT_TRUE(ParallelApply(*method, instance, receivers,
+                                ExecOptions{.metrics = &metrics,
+                                            .num_workers = workers,
+                                            .pool = &pool,
+                                            .backend = backend})
+                      .ok());
+      EXPECT_EQ(metrics.engine.eval_join_build_rows.value(), 32u)
+          << workers << " workers";
+      EXPECT_EQ(metrics.engine.eval_join_probes.value(), 2064u)
+          << workers << " workers";
+      EXPECT_EQ(metrics.engine.eval_rows.value(), 2064u)
+          << workers << " workers";
+    }
+  }
+}
 
 TEST(ParallelApplyDeterminismTest, TransientPoolMatchesBorrowedPool) {
   DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();

@@ -14,6 +14,7 @@
 #include "relational/evaluator.h"
 #include "core/instance_generator.h"
 #include "core/sequential.h"
+#include "par_literal.h"
 
 namespace setrec {
 namespace {
@@ -251,6 +252,75 @@ TEST_P(Lemma67Test, ParExpressionEqualsUnionOfPerReceiverResults) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Lemma67Test,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+/// The hoisting rewrite against the literal Definition 6.1 oracle: for the
+/// four drinkers methods and the Section 7 payroll statements (B') and
+/// (C'), hoisted and literal par(E) denote the same relation — schemes
+/// included — for every receiver set: random non-key sets, key sets, the
+/// empty set and all receivers. On key sets M_par = M_seq (Theorem 6.5)
+/// for the key-order independent methods; (C') reads the Salary edges it
+/// updates, so the theorem does not apply to it.
+class ParHoistingTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+void ExpectHoistedEqualsLiteral(const AlgebraicUpdateMethod& method,
+                                const Instance& instance,
+                                InstanceGenerator& gen, bool key_order_oi) {
+  const MethodContext& ctx = method.context();
+  std::vector<std::vector<Receiver>> sets = {
+      {},
+      gen.RandomReceiverSet(instance, method.signature(), 12),
+      gen.RandomKeySet(instance, method.signature(), 6),
+      InstanceGenerator::AllReceivers(instance, method.signature())};
+  for (const UpdateStatement& statement : method.statements()) {
+    ExprPtr hoisted =
+        std::move(ParTransform(statement.expression, ctx)).value();
+    ExprPtr literal =
+        std::move(LiteralParTransform(statement.expression, ctx)).value();
+    for (const std::vector<Receiver>& set : sets) {
+      Relation h =
+          std::move(EvaluateParOver(hoisted, instance, ctx, set)).value();
+      Relation l =
+          std::move(EvaluateParOver(literal, instance, ctx, set)).value();
+      EXPECT_TRUE(h == l) << method.name() << " over " << set.size()
+                          << " receivers";
+    }
+  }
+  const std::vector<Receiver>& keys = sets[2];
+  ASSERT_TRUE(IsKeySet(keys));
+  if (!key_order_oi) return;
+  Instance sequential = std::move(ApplySequence(method, instance, keys)).value();
+  Instance parallel = std::move(ParallelApply(method, instance, keys)).value();
+  EXPECT_EQ(sequential, parallel) << method.name();
+}
+
+TEST_P(ParHoistingTest, HoistedEqualsLiteralOnEveryReceiverSet) {
+  InstanceGenerator::Options options;
+  options.min_objects_per_class = 2;
+  options.max_objects_per_class = 5;
+  options.edge_probability = 0.4;
+
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  InstanceGenerator drinkers(&ds.schema, GetParam());
+  const Instance bars = drinkers.RandomInstance(options);
+  for (auto& method : {std::move(MakeAddBar(ds)).value(),
+                       std::move(MakeFavoriteBar(ds)).value(),
+                       std::move(MakeDeleteBar(ds)).value(),
+                       std::move(MakeLikesServesBar(ds)).value()}) {
+    ExpectHoistedEqualsLiteral(*method, bars, drinkers, true);
+  }
+
+  PayrollSchema ps = std::move(MakePayrollSchema()).value();
+  InstanceGenerator payroll(&ps.schema, GetParam());
+  const Instance staff = payroll.RandomInstance(options);
+  ExpectHoistedEqualsLiteral(*std::move(MakeSalaryFromNewSal(ps)).value(),
+                             staff, payroll, true);
+  ExpectHoistedEqualsLiteral(
+      *std::move(MakeSalaryFromManagersNewSal(ps)).value(), staff, payroll,
+      false);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ParHoistingTest,
+                         ::testing::Range<std::uint64_t>(1, 17));
 
 TEST(ParityTest, SequentialApplicationExpressesParity) {
   // Footnote 8: greedy matching via sequential application leaves an

@@ -23,6 +23,7 @@
 #include "relational/builder.h"
 #include "relational/evaluator.h"
 #include "relational/relation.h"
+#include "sql/table.h"
 #include "text/printer.h"
 
 namespace setrec {
@@ -364,6 +365,49 @@ TEST(VectorizedExplainTest, AutoBackendLatchesOnInputSize) {
       << big_plan.ToText();
   EXPECT_EQ(big_plan.ToText().find(" backend=interpreter"),
             std::string::npos);
+}
+
+/// ParallelApply latches kAuto once, in the prepare step, on the whole
+/// receiver set; every shard runs on that backend. Over 4096 payroll
+/// receivers the prepared inputs (rec plus NSOld and NSNew) cross
+/// kAutoVectorizeInputRows, while an eighth of rec does not: a shard
+/// latching on its own inputs would fall back to the interpreter.
+TEST(VectorizedExplainTest, ShardsRunOnThePreparedBackend) {
+  PayrollSchema ps = std::move(MakePayrollSchema()).value();
+  const auto n =
+      static_cast<std::uint32_t>(Evaluator::kAutoVectorizeInputRows);
+  std::vector<EmployeeRow> employees;
+  std::vector<NewSalRow> raises;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    employees.push_back(EmployeeRow{i, 1000 + (i % 16), std::nullopt});
+  }
+  for (std::uint32_t s = 0; s < 16; ++s) {
+    raises.push_back(NewSalRow{1000 + s, 2000 + s});
+  }
+  const Instance db =
+      std::move(BuildPayrollInstance(ps, employees, {}, raises)).value();
+  const auto salaries = std::move(ReadSalaries(ps, db)).value();
+  std::vector<Receiver> receivers;
+  for (auto [id, salary] : salaries) {
+    receivers.push_back(Receiver::Unchecked(
+        {ObjectId(ps.emp, id), ObjectId(ps.val, salary)}));
+  }
+  auto method = std::move(MakeSalaryFromNewSal(ps)).value();
+  ThreadPool pool(4);
+  for (std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
+    ExecOptions options;
+    options.num_workers = workers;
+    options.pool = &pool;
+    const std::string text =
+        std::move(ExplainParallelApply(*method, db, receivers,
+                                       /*analyze=*/true, options))
+            .value()
+            .ToText();
+    EXPECT_NE(text.find(" backend=bytecode"), std::string::npos) << text;
+    EXPECT_EQ(text.find(" backend=interpreter"), std::string::npos)
+        << workers << " workers:\n"
+        << text;
+  }
 }
 
 // ---------------------------------------------------------------------------
