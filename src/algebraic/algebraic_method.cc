@@ -34,7 +34,8 @@ Result<std::unique_ptr<AlgebraicUpdateMethod>> AlgebraicUpdateMethod::Make(
 }
 
 Result<Instance> AlgebraicUpdateMethod::Apply(const Instance& instance,
-                                              const Receiver& receiver) const {
+                                              const Receiver& receiver,
+                                              ExecContext& ctx) const {
   SETREC_RETURN_IF_ERROR(CheckReceiver(instance, receiver));
   SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(instance));
   SETREC_RETURN_IF_ERROR(
@@ -43,7 +44,7 @@ Result<Instance> AlgebraicUpdateMethod::Apply(const Instance& instance,
   // Evaluate every right-hand side against the *pre-update* instance first
   // (all statements of one method application see the same snapshot), then
   // splice the results in.
-  Evaluator evaluator(&db, {.ctx = &ExecContext::Default()});
+  Evaluator evaluator(&db, {.ctx = &ctx});
   std::vector<Relation> results;
   results.reserve(statements_.size());
   for (const UpdateStatement& s : statements_) {

@@ -30,8 +30,9 @@ class AlgebraicUpdateMethod final : public UpdateMethod {
       const Schema* schema, MethodSignature signature, std::string name,
       std::vector<UpdateStatement> statements);
 
-  Result<Instance> Apply(const Instance& instance,
-                         const Receiver& receiver) const override;
+  Result<Instance> Apply(
+      const Instance& instance, const Receiver& receiver,
+      ExecContext& ctx = ExecContext::Default()) const override;
 
   const std::vector<UpdateStatement>& statements() const {
     return statements_;

@@ -146,9 +146,10 @@ Result<std::unique_ptr<AlgebraicUpdateMethod>> MakeSalaryFromNewSal(
 Result<std::unique_ptr<AlgebraicUpdateMethod>> MakeSalaryFromManagersNewSal(
     const PayrollSchema& s);
 
-/// Evaluates a receiver-producing query over an instance: the expression
-/// must produce a relation whose scheme matches `signature` positionally;
-/// each tuple becomes a receiver. Used for query-order independence
+/// Evaluates a receiver-producing query over an instance and decodes the
+/// result with ReceiversFromRelation (objrel/encoding.h): the scheme must
+/// match `signature` positionally; each tuple becomes a receiver, in
+/// canonical order. Used for query-order independence
 /// (Definition 3.1(3), Proposition 5.14) and for the Section 7 set-oriented
 /// semantics (compute the receiver set first, then update).
 Result<std::vector<Receiver>> ReceiversFromQuery(const ExprPtr& query,

@@ -163,12 +163,14 @@ Result<std::vector<ReductionExpressions>> BuildOrderIndependenceReduction(
 
 Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
                                      OrderIndependenceKind kind,
-                                     ExecContext& ctx) {
+                                     const ExecOptions& options) {
   if (!method.IsPositiveMethod()) {
     return Status::InvalidArgument(
         "order independence is only decidable for positive methods "
         "(Theorem 5.12 / Corollary 5.7); use SearchOrderDependenceWitness");
   }
+  ExecScope scope(options);
+  ExecContext& ctx = scope.ctx();
   TraceSpan span = StartSpan(ctx, "decide/order-independence");
   SETREC_ASSIGN_OR_RETURN(std::vector<ReductionExpressions> reductions,
                           BuildOrderIndependenceReduction(method, kind));
@@ -192,8 +194,8 @@ Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
 
 Result<OrderIndependenceVerdict> DecideOrderIndependenceBounded(
     const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    ExecContext& ctx) {
-  Result<bool> decided = DecideOrderIndependence(method, kind, ctx);
+    const ExecOptions& options) {
+  Result<bool> decided = DecideOrderIndependence(method, kind, options);
   if (decided.ok()) {
     return *decided ? OrderIndependenceVerdict::kIndependent
                     : OrderIndependenceVerdict::kDependent;
@@ -206,12 +208,14 @@ Result<OrderIndependenceVerdict> DecideOrderIndependenceBounded(
 
 Result<DecisionReport> DecideOrderIndependenceDetailed(
     const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    ExecContext& ctx) {
+    const ExecOptions& options) {
   if (!method.IsPositiveMethod()) {
     return Status::InvalidArgument(
         "order independence is only decidable for positive methods "
         "(Theorem 5.12 / Corollary 5.7)");
   }
+  ExecScope scope(options);
+  ExecContext& ctx = scope.ctx();
   TraceSpan span = StartSpan(ctx, "decide/order-independence");
   SETREC_ASSIGN_OR_RETURN(std::vector<ReductionExpressions> reductions,
                           BuildOrderIndependenceReduction(method, kind));
@@ -242,27 +246,6 @@ Result<DecisionReport> DecideOrderIndependenceDetailed(
     report.properties.push_back(detail);
   }
   return report;
-}
-
-Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
-                                     OrderIndependenceKind kind,
-                                     const ExecOptions& options) {
-  ExecScope scope(options);
-  return DecideOrderIndependence(method, kind, scope.ctx());
-}
-
-Result<OrderIndependenceVerdict> DecideOrderIndependenceBounded(
-    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    const ExecOptions& options) {
-  ExecScope scope(options);
-  return DecideOrderIndependenceBounded(method, kind, scope.ctx());
-}
-
-Result<DecisionReport> DecideOrderIndependenceDetailed(
-    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    const ExecOptions& options) {
-  ExecScope scope(options);
-  return DecideOrderIndependenceDetailed(method, kind, scope.ctx());
 }
 
 namespace {

@@ -46,38 +46,27 @@ Result<std::vector<ReductionExpressions>> BuildOrderIndependenceReduction(
 /// — the problem is undecidable there (Corollary 5.7); use
 /// SearchOrderDependenceWitness for refutation instead.
 ///
-/// The underlying containment tests run under `ctx`; with a step budget or
-/// deadline the call returns kResourceExhausted / kDeadlineExceeded. Use
-/// DecideOrderIndependenceBounded for the three-valued wrapper that turns
-/// those into a sound kUnknown verdict.
+/// The underlying containment tests run under the options' context; with a
+/// step budget or deadline the call returns kResourceExhausted /
+/// kDeadlineExceeded. Use DecideOrderIndependenceBounded for the
+/// three-valued wrapper that turns those into a sound kUnknown verdict.
 Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
                                      OrderIndependenceKind kind,
-                                     ExecContext& ctx =
-                                         ExecContext::Default());
-
-/// Unified form over ExecOptions (context + observability sinks).
-Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
-                                     OrderIndependenceKind kind,
-                                     const ExecOptions& options);
+                                     const ExecOptions& options = {});
 
 /// Three-valued verdict for the bounded decision procedure. kUnknown means
 /// "not decided within the budget" — it is sound to treat such a method as
 /// potentially order dependent, never as independent.
 enum class OrderIndependenceVerdict { kIndependent, kDependent, kUnknown };
 
-/// Runs DecideOrderIndependence under `ctx` and degrades retryable
-/// governance failures (step budget, deadline, row/memory caps) to
-/// kUnknown instead of an error. Cancellation and genuine errors still
+/// Runs DecideOrderIndependence under the options' context and degrades
+/// retryable governance failures (step budget, deadline, row/memory caps)
+/// to kUnknown instead of an error. Cancellation and genuine errors still
 /// propagate: a cancelled run decided nothing and should not be reported as
 /// a verdict.
 Result<OrderIndependenceVerdict> DecideOrderIndependenceBounded(
     const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    ExecContext& ctx = ExecContext::Default());
-
-/// Unified form over ExecOptions (context + observability sinks).
-Result<OrderIndependenceVerdict> DecideOrderIndependenceBounded(
-    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    const ExecOptions& options);
+    const ExecOptions& options = {});
 
 /// A detailed account of one decision run: per updated property, the union
 /// widths of the two reduction sides before and after disjunct-subsumption
@@ -100,12 +89,7 @@ struct DecisionReport {
 /// exit) and reports the reduction statistics.
 Result<DecisionReport> DecideOrderIndependenceDetailed(
     const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    ExecContext& ctx = ExecContext::Default());
-
-/// Unified form over ExecOptions (context + observability sinks).
-Result<DecisionReport> DecideOrderIndependenceDetailed(
-    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    const ExecOptions& options);
+    const ExecOptions& options = {});
 
 /// Provenance of one containment test the decision procedure attempted: the
 /// direction, the verdict, the budget it spent (context steps plus the

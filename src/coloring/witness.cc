@@ -107,8 +107,9 @@ class WitnessMethod final : public UpdateMethod {
         objects_(*schema),
         tested_(ComputeTestedItems(*schema, coloring_, ax)) {}
 
-  Result<Instance> Apply(const Instance& in,
-                         const Receiver& receiver) const override {
+  Result<Instance> Apply(
+      const Instance& in, const Receiver& receiver,
+      ExecContext& /*ctx*/ = ExecContext::Default()) const override {
     SETREC_RETURN_IF_ERROR(CheckReceiver(in, receiver));
     const Schema& schema = *schema_;
     const bool infl = ax_ == UseAxiomatization::kInflationary;

@@ -11,12 +11,12 @@ namespace setrec {
 /// LogicalCounterNames() engine counters — so the choice is purely a
 /// performance knob; the differential test suite pins the equivalence.
 enum class ExecBackend : std::uint8_t {
-  /// Cost-based selection, latched once per Evaluator so a DAG of
-  /// expressions sharing subtrees is served by one memo: the compiled
-  /// vectorized engine when the referenced relations are large enough to
-  /// amortize batching and no multi-worker pool is attached (the
-  /// partitioned parallel probe is an interpreter feature), the
-  /// interpreter otherwise.
+  /// Size-threshold selection, latched once per Evaluator (and inherited
+  /// by its child evaluators) so a DAG of expressions sharing subtrees is
+  /// served by one memo: the compiled vectorized engine when it covers the
+  /// expression and the base relations it reads hold at least
+  /// Evaluator::kAutoVectorizeInputRows rows together, the interpreter
+  /// otherwise.
   kAuto,
   /// The tuple-at-a-time tree-walking interpreter — the differential
   /// oracle all other backends are tested against.

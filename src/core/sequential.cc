@@ -44,7 +44,7 @@ Result<Instance> ApplySequence(const UpdateMethod& method,
           "sequence is undefined: receiver not valid over intermediate "
           "instance");
     }
-    SETREC_ASSIGN_OR_RETURN(current, method.Apply(current, t));
+    SETREC_ASSIGN_OR_RETURN(current, method.Apply(current, t, ctx));
   }
   return current;
 }

@@ -17,7 +17,8 @@ namespace setrec {
 /// Applies M to a *sequence* of distinct receivers: M(I, t1 ... tn) =
 /// M(M(I, t1), t2, ..., tn) (Section 3). The value is undefined (an error
 /// status is returned) as soon as some ti is not a receiver over the evolving
-/// instance or M itself fails. `ctx` governs the per-receiver loop.
+/// instance or M itself fails. `ctx` governs the per-receiver loop and each
+/// M(I, ti) (UpdateMethod::Apply).
 Result<Instance> ApplySequence(const UpdateMethod& method,
                                const Instance& instance,
                                std::span<const Receiver> sequence,

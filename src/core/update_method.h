@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "core/exec_context.h"
 #include "core/instance.h"
 #include "core/receiver.h"
 #include "core/status.h"
@@ -35,9 +36,12 @@ class UpdateMethod {
 
   /// Computes M(instance, receiver). Implementations may assume the receiver
   /// has the signature's arity but must tolerate (and report) receivers that
-  /// are not valid over `instance`.
-  virtual Result<Instance> Apply(const Instance& instance,
-                                 const Receiver& receiver) const = 0;
+  /// are not valid over `instance`. Work the method does (an algebraic
+  /// method's relational evaluation) is charged to and governed by `ctx`;
+  /// every override declares the same default.
+  virtual Result<Instance> Apply(
+      const Instance& instance, const Receiver& receiver,
+      ExecContext& ctx = ExecContext::Default()) const = 0;
 
  protected:
   /// Standard guard shared by implementations: fails unless `receiver` is a
@@ -64,8 +68,9 @@ class FunctionalUpdateMethod final : public UpdateMethod {
       : UpdateMethod(std::move(signature), std::move(name)),
         body_(std::move(body)) {}
 
-  Result<Instance> Apply(const Instance& instance,
-                         const Receiver& receiver) const override {
+  Result<Instance> Apply(
+      const Instance& instance, const Receiver& receiver,
+      ExecContext& /*ctx*/ = ExecContext::Default()) const override {
     SETREC_RETURN_IF_ERROR(CheckReceiver(instance, receiver));
     return body_(instance, receiver);
   }

@@ -202,8 +202,8 @@ class ViewCache : public DeltaSink {
 };
 
 /// Phase-one of a set-oriented update through the cache: evaluates the
-/// receiver query as a (registered-on-demand) view and checks the result
-/// against the method signature, mirroring ReceiversFromQuery. Callers fall
+/// receiver query as a (registered-on-demand) view and decodes the result
+/// with ReceiversFromRelation, as ReceiversFromQuery does. Callers fall
 /// back to the from-scratch path on any error — except governance errors
 /// from `ctx`, which they must propagate.
 Result<std::vector<Receiver>> ReceiversFromView(

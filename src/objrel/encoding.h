@@ -2,8 +2,10 @@
 #define SETREC_OBJREL_ENCODING_H_
 
 #include <string>
+#include <vector>
 
 #include "core/instance.h"
+#include "core/receiver.h"
 #include "core/schema.h"
 #include "relational/dependencies.h"
 #include "relational/relation.h"
@@ -42,6 +44,15 @@ Result<Database> EncodeInstance(const Instance& instance);
 /// with EncodeInstance this realizes Proposition 5.1's exact correspondence.
 Result<Instance> DecodeInstance(const Database& database,
                                 const Schema& schema);
+
+/// Decodes a receiver-producing query's result into receivers of type
+/// `signature`: the scheme must match the signature positionally (arity and
+/// domains), and each tuple becomes one receiver, in canonical (sorted)
+/// order — the enumeration sequential application and the set-oriented
+/// UPDATE's phase two see. The one relation-to-receivers conversion
+/// (ReceiversFromQuery, ReceiversFromView and EXPLAIN ANALYZE call it).
+Result<std::vector<Receiver>> ReceiversFromRelation(
+    const Relation& rows, const MethodSignature& signature);
 
 }  // namespace setrec
 

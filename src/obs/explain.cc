@@ -9,7 +9,6 @@
 
 #include "algebraic/method_library.h"
 #include "algebraic/parallel.h"
-#include "core/sequential.h"
 #include "obs/json_escape.h"
 #include "objrel/encoding.h"
 #include "relational/evaluator.h"
@@ -324,8 +323,8 @@ Result<ExplainPlan> ExplainSetOrientedUpdate(const Instance& instance,
                                              bool analyze,
                                              const ExecOptions& options) {
   const Schema& schema = instance.schema();
-  SETREC_ASSIGN_OR_RETURN(std::unique_ptr<AlgebraicUpdateMethod> assign,
-                          MakeAssignArgMethod(&schema, property));
+  SETREC_ASSIGN_OR_RETURN(MethodSignature signature,
+                          AssignArgSignature(schema, property));
   SETREC_ASSIGN_OR_RETURN(Catalog catalog, EncodeCatalog(schema));
   const std::string& prop_name = schema.property(property).name;
 
@@ -352,30 +351,15 @@ Result<ExplainPlan> ExplainSetOrientedUpdate(const Instance& instance,
     Evaluator evaluator(&db, {.ctx = &ctx, .backend = opts.backend});
     evaluator.set_node_stats(&stats);
     SETREC_ASSIGN_OR_RETURN(Relation rows, evaluator.Eval(receiver_query));
-    if (rows.scheme().arity() != assign->signature().size()) {
-      return Status::InvalidArgument(
-          "receiver query scheme does not match the update signature");
-    }
-    std::vector<Receiver> receivers;
-    receivers.reserve(rows.size());
-    for (const Tuple* t : rows.SortedTuples()) {
-      SETREC_ASSIGN_OR_RETURN(
-          Receiver r,
-          Receiver::Make(assign->signature(), t->values(), instance));
-      receivers.push_back(std::move(r));
-    }
-    if (!IsKeySet(receivers)) {
-      return Status::FailedPrecondition(
-          "set-oriented update would assign two values to one row; the "
-          "receiver query must produce a key set");
-    }
+    SETREC_ASSIGN_OR_RETURN(std::vector<Receiver> receivers,
+                            ReceiversFromRelation(rows, signature));
 
-    // Phase two: apply to a scratch copy so the caller's instance is
-    // untouched; the metrics registry picks up apply.edges and
-    // sequential.receivers.
+    // Phase two: the statement's own, on a scratch copy so the caller's
+    // instance is untouched (no commit hook, no view cache).
+    Instance scratch = instance;
     const auto start = std::chrono::steady_clock::now();
     SETREC_RETURN_IF_ERROR(
-        ApplySequence(*assign, instance, receivers, ctx).status());
+        ApplyAssignToKeySet(scratch, property, receivers, {.ctx = &ctx}));
     apply.analyzed = true;
     apply.actual_rows = receivers.size();
     apply.wall_ns = ElapsedNs(start);

@@ -96,8 +96,11 @@ Result<ExplainPlan> ExplainExpressionAnalyze(const ExprPtr& expr,
 /// EXPLAIN [ANALYZE] for the Section 7 set-oriented UPDATE: renders the
 /// two-phase pipeline — the receiver query evaluated against the
 /// pre-statement state, then the key-order independent `a := arg1`
-/// application. ANALYZE runs both phases (on a scratch copy; `instance` is
-/// never mutated).
+/// application. ANALYZE evaluates phase one with a statistics-collecting
+/// evaluator and runs the statement's own phase two (ApplyAssignToKeySet,
+/// sql/engine.h) on a scratch copy; `instance` is never mutated, and the
+/// counters equal those SetOrientedUpdateInPlace charges on the same input
+/// without a view cache.
 Result<ExplainPlan> ExplainSetOrientedUpdate(const Instance& instance,
                                              PropertyId property,
                                              const ExprPtr& receiver_query,

@@ -246,6 +246,18 @@ std::string Tracer::TreeSignatureForTrace(std::uint64_t trace_id) const {
   return SignatureOf(family);
 }
 
+namespace {
+
+/// chrome://tracing expects microseconds; print `ns` exactly, as integer
+/// microseconds with three decimals (a double at the stream's default
+/// precision loses digits once a trace is older than a second).
+void WriteMicros(std::ostream& out, std::uint64_t ns) {
+  const std::uint64_t frac = ns % 1000;
+  out << ns / 1000 << (frac < 10 ? ".00" : frac < 100 ? ".0" : ".") << frac;
+}
+
+}  // namespace
+
 void Tracer::WriteChromeTrace(std::ostream& out) const {
   const std::vector<SpanEvent> events = Events();
   out << "{\"traceEvents\":[";
@@ -255,11 +267,11 @@ void Tracer::WriteChromeTrace(std::ostream& out) const {
     first = false;
     out << "\n{\"name\":\"";
     JsonEscape(out, e.name);
-    // chrome://tracing expects microsecond floats; keep ns resolution.
-    out << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":"
-        << static_cast<double>(e.start_ns) / 1000.0
-        << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1000.0
-        << ",\"args\":{\"id\":" << e.id << ",\"parent\":" << e.parent
+    out << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":";
+    WriteMicros(out, e.start_ns);
+    out << ",\"dur\":";
+    WriteMicros(out, e.dur_ns);
+    out << ",\"args\":{\"id\":" << e.id << ",\"parent\":" << e.parent
         << ",\"trace_id\":" << e.trace_id
         << ",\"remote_parent\":" << e.remote_parent << "}}";
   }

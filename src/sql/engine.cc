@@ -8,6 +8,36 @@
 
 namespace setrec {
 
+namespace {
+
+/// The all-or-nothing tail every set-oriented statement shares: `mutate`
+/// edits `instance` in place, then options.commit_hook (part of the
+/// statement: a veto, e.g. a WAL write failure, unwinds exactly like an
+/// in-memory fault) sees the pre- and post-statement states. Any failure
+/// restores the snapshot; a commit publishes its delta to
+/// options.view_cache.
+template <typename Mutate>
+Status CommitAllOrNothing(Instance& instance, const ExecOptions& options,
+                          Mutate mutate) {
+  Instance snapshot = instance;
+  Status applied = mutate();
+  if (applied.ok() && options.commit_hook) {
+    applied = options.commit_hook(snapshot, instance);
+  }
+  if (!applied.ok()) {
+    instance = std::move(snapshot);
+    return applied;
+  }
+  if (options.view_cache != nullptr) {
+    // Post-commit, advisory: the sink fails closed on its own when it
+    // cannot absorb the delta.
+    (void)options.view_cache->ApplyDelta(DiffInstances(snapshot, instance));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<Instance> CursorDelete(const Instance& instance, ClassId cls,
                               const RowPredicate& pred,
                               std::span<const ObjectId> order,
@@ -29,15 +59,17 @@ Result<Instance> CursorDelete(const Instance& instance, ClassId cls,
 
 Result<Instance> SetOrientedDelete(const Instance& instance, ClassId cls,
                                    const RowPredicate& pred,
-                                   ExecContext& ctx) {
+                                   const ExecOptions& options) {
   Instance out = instance;
-  SETREC_RETURN_IF_ERROR(SetOrientedDeleteInPlace(out, cls, pred, ctx));
+  SETREC_RETURN_IF_ERROR(SetOrientedDeleteInPlace(out, cls, pred, options));
   return out;
 }
 
 Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
-                                const RowPredicate& pred, ExecContext& ctx,
-                                const CommitHook& commit_hook) {
+                                const RowPredicate& pred,
+                                const ExecOptions& options) {
+  ExecScope scope(options);
+  ExecContext& ctx = scope.ctx();
   TraceSpan span = StartSpan(ctx, "sql/set-delete");
   // Phase one: identify every doomed row against the input state. No
   // mutation has happened yet, so errors here need no rollback.
@@ -47,23 +79,16 @@ Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
     SETREC_ASSIGN_OR_RETURN(bool d, pred(instance, row));
     if (d) doomed.push_back(row);
   }
-  // Phase two: remove them all together, all-or-nothing. The commit hook is
-  // part of the statement: a veto (e.g. a WAL write failure) unwinds exactly
-  // like an in-memory fault.
-  Instance snapshot = instance;
-  Status applied = [&]() -> Status {
+  // Phase two: remove them all together, all-or-nothing. Deletes have no
+  // receiver-query phase to serve from the view cache, but their effects
+  // still reach it, or dependent views go permanently stale.
+  return CommitAllOrNothing(instance, options, [&]() -> Status {
     for (ObjectId row : doomed) {
       SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sql/delete/row"));
       SETREC_RETURN_IF_ERROR(instance.RemoveObject(row));
     }
-    if (commit_hook) SETREC_RETURN_IF_ERROR(commit_hook(snapshot, instance));
     return Status::OK();
-  }();
-  if (!applied.ok()) {
-    instance = std::move(snapshot);
-    return applied;
-  }
-  return Status::OK();
+  });
 }
 
 Result<CursorOrderReport> TestCursorDeleteOrders(const Instance& instance,
@@ -130,62 +155,54 @@ Result<Instance> CursorUpdate(const AlgebraicUpdateMethod& method,
   return ApplySequence(method, instance, order, ctx);
 }
 
-Result<std::unique_ptr<AlgebraicUpdateMethod>> MakeAssignArgMethod(
-    const Schema* schema, PropertyId property) {
-  if (!schema->HasProperty(property)) {
+Result<MethodSignature> AssignArgSignature(const Schema& schema,
+                                           PropertyId property) {
+  if (!schema.HasProperty(property)) {
     return Status::InvalidArgument("unknown property");
   }
-  const Schema::PropertyDef& def = schema->property(property);
+  const Schema::PropertyDef& def = schema.property(property);
+  return MethodSignature({def.source, def.target});
+}
+
+Result<std::unique_ptr<AlgebraicUpdateMethod>> MakeAssignArgMethod(
+    const Schema* schema, PropertyId property) {
+  SETREC_ASSIGN_OR_RETURN(MethodSignature signature,
+                          AssignArgSignature(*schema, property));
   return AlgebraicUpdateMethod::Make(
-      schema, MethodSignature({def.source, def.target}),
-      "assign_" + def.name,
+      schema, std::move(signature), "assign_" + schema->property(property).name,
       {UpdateStatement{property, Expr::Relation("arg1")}});
 }
 
 Result<Instance> SetOrientedUpdate(const Instance& instance,
                                    PropertyId property,
                                    const ExprPtr& receiver_query,
-                                   ExecContext& ctx) {
-  const Schema* schema = &instance.schema();
-  SETREC_ASSIGN_OR_RETURN(std::unique_ptr<AlgebraicUpdateMethod> assign,
-                          MakeAssignArgMethod(schema, property));
-  // Phase one: compute the receiver set against the input instance.
-  SETREC_ASSIGN_OR_RETURN(
-      std::vector<Receiver> receivers,
-      ReceiversFromQuery(receiver_query, instance, assign->signature(), ctx));
-  if (!IsKeySet(receivers)) {
-    return Status::FailedPrecondition(
-        "set-oriented update would assign two values to one row; the "
-        "receiver query must produce a key set");
-  }
-  // Phase two: apply the trivial key-order independent update.
-  return ApplySequence(*assign, instance, receivers, ctx);
+                                   const ExecOptions& options) {
+  Instance out = instance;
+  SETREC_RETURN_IF_ERROR(
+      SetOrientedUpdateInPlace(out, property, receiver_query, options));
+  return out;
 }
 
-namespace {
-
-/// Shared body of the two public SetOrientedUpdateInPlace overloads. When
-/// `sink` is a ViewCache, phase one reads the receiver set out of the cache
-/// (incrementally maintained) instead of evaluating from scratch, falling
-/// back to ReceiversFromQuery on any cache error; either way a successful
-/// commit publishes its delta to the sink. The caller is responsible for
-/// having fed the cache every prior mutation of `instance` — the per-row
-/// validity check below still rejects receivers that do not exist in the
-/// instance, but cannot detect a stale-but-valid receiver set.
-Status SetOrientedUpdateImpl(Instance& instance, PropertyId property,
-                             const ExprPtr& receiver_query, ExecContext& ctx,
-                             const CommitHook& commit_hook, DeltaSink* sink) {
+Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
+                                const ExprPtr& receiver_query,
+                                const ExecOptions& options) {
+  ExecScope scope(options);
+  ExecContext& ctx = scope.ctx();
   TraceSpan span = StartSpan(ctx, "sql/set-update");
-  const Schema* schema = &instance.schema();
-  SETREC_ASSIGN_OR_RETURN(std::unique_ptr<AlgebraicUpdateMethod> assign,
-                          MakeAssignArgMethod(schema, property));
+  SETREC_ASSIGN_OR_RETURN(MethodSignature signature,
+                          AssignArgSignature(instance.schema(), property));
   // Phase one: compute the receiver key set against the input state. No
-  // mutation has happened yet, so errors here need no rollback.
+  // mutation has happened yet, so errors here need no rollback. The caller
+  // is responsible for having fed the cache every prior mutation of
+  // `instance` — phase two still rejects receivers that do not exist in the
+  // instance, but cannot detect a stale-but-valid receiver set.
   std::vector<Receiver> receivers;
   bool from_cache = false;
-  if (ViewCache* cache = sink != nullptr ? sink->AsViewCache() : nullptr) {
+  if (ViewCache* cache = options.view_cache != nullptr
+                             ? options.view_cache->AsViewCache()
+                             : nullptr) {
     Result<std::vector<Receiver>> cached =
-        ReceiversFromView(*cache, receiver_query, assign->signature(), &ctx);
+        ReceiversFromView(*cache, receiver_query, signature, &ctx);
     if (cached.ok()) {
       receivers = std::move(cached).value();
       from_cache = true;
@@ -197,23 +214,33 @@ Status SetOrientedUpdateImpl(Instance& instance, PropertyId property,
     }
   }
   if (!from_cache) {
-    SETREC_ASSIGN_OR_RETURN(
-        receivers, ReceiversFromQuery(receiver_query, instance,
-                                      assign->signature(), ctx));
+    SETREC_ASSIGN_OR_RETURN(receivers, ReceiversFromQuery(receiver_query,
+                                                          instance, signature,
+                                                          ctx));
   }
+  ExecOptions phase_two = options;
+  phase_two.ctx = &ctx;
+  return ApplyAssignToKeySet(instance, property, receivers, phase_two);
+}
+
+Status ApplyAssignToKeySet(Instance& instance, PropertyId property,
+                           std::span<const Receiver> receivers,
+                           const ExecOptions& options) {
+  SETREC_ASSIGN_OR_RETURN(MethodSignature signature,
+                          AssignArgSignature(instance.schema(), property));
   if (!IsKeySet(receivers)) {
     return Status::FailedPrecondition(
         "set-oriented update would assign two values to one row; the "
         "receiver query must produce a key set");
   }
-  // Phase two: rewrite the a-edges row by row, all-or-nothing. Because the
-  // receiver set is a key set, "a := arg1" amounts to replacing each
-  // receiving row's a-edges by the single queried target.
-  Instance snapshot = instance;
-  Status applied = [&]() -> Status {
+  ExecScope scope(options);
+  ExecContext& ctx = scope.ctx();
+  // On a key set, "a := arg1" amounts to replacing each receiving row's
+  // a-edges by the single queried target.
+  return CommitAllOrNothing(instance, options, [&]() -> Status {
     for (const Receiver& t : receivers) {
       SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sql/update/receiver"));
-      if (!t.IsValidOver(assign->signature(), instance)) {
+      if (!t.IsValidOver(signature, instance)) {
         return Status::FailedPrecondition(
             "receiver not valid over the instance");
       }
@@ -222,65 +249,8 @@ Status SetOrientedUpdateImpl(Instance& instance, PropertyId property,
       SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sql/update/edge"));
       SETREC_RETURN_IF_ERROR(instance.AddEdge(row, property, t.object_at(1)));
     }
-    if (commit_hook) SETREC_RETURN_IF_ERROR(commit_hook(snapshot, instance));
     return Status::OK();
-  }();
-  if (!applied.ok()) {
-    instance = std::move(snapshot);
-    return applied;
-  }
-  if (sink != nullptr) {
-    // Post-commit, advisory: the sink fails closed on its own when it
-    // cannot absorb the delta.
-    (void)sink->ApplyDelta(DiffInstances(snapshot, instance));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
-                                const ExprPtr& receiver_query, ExecContext& ctx,
-                                const CommitHook& commit_hook) {
-  return SetOrientedUpdateImpl(instance, property, receiver_query, ctx,
-                               commit_hook, /*sink=*/nullptr);
-}
-
-Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
-                                const ExprPtr& receiver_query, ExecContext& ctx,
-                                const CommitHook& commit_hook,
-                                DeltaSink* view_cache) {
-  return SetOrientedUpdateImpl(instance, property, receiver_query, ctx,
-                               commit_hook, view_cache);
-}
-
-Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
-                                const RowPredicate& pred,
-                                const ExecOptions& options) {
-  ExecScope scope(options);
-  // Deletes have no receiver-query phase to serve from the cache, but their
-  // effects must still reach it or dependent views go permanently stale.
-  // The in-place API destroys the before-state, so publication rides the
-  // commit hook, which sees both states; it runs after the caller's own
-  // hook accepted the commit (a veto publishes nothing).
-  CommitHook hook = options.commit_hook;
-  if (DeltaSink* sink = options.view_cache; sink != nullptr) {
-    hook = [inner = std::move(hook), sink](const Instance& before,
-                                           const Instance& after) -> Status {
-      if (inner) SETREC_RETURN_IF_ERROR(inner(before, after));
-      (void)sink->ApplyDelta(DiffInstances(before, after));
-      return Status::OK();
-    };
-  }
-  return SetOrientedDeleteInPlace(instance, cls, pred, scope.ctx(), hook);
-}
-
-Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
-                                const ExprPtr& receiver_query,
-                                const ExecOptions& options) {
-  ExecScope scope(options);
-  return SetOrientedUpdateImpl(instance, property, receiver_query, scope.ctx(),
-                               options.commit_hook, options.view_cache);
+  });
 }
 
 }  // namespace setrec

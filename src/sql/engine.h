@@ -7,7 +7,7 @@
 
 #include "algebraic/method_library.h"
 #include "core/exec_context.h"
-#include "core/exec_options.h"  // CommitHook lives here now
+#include "core/exec_options.h"
 #include "core/instance.h"
 
 namespace setrec {
@@ -28,26 +28,22 @@ Result<Instance> CursorDelete(const Instance& instance, ClassId cls,
 
 /// Set-oriented DELETE: first identifies every row satisfying `pred` against
 /// the *input* instance, then removes them all together — the two-phase
-/// semantics of the standalone SQL statement.
+/// semantics of the standalone SQL statement. A copy plus
+/// SetOrientedDeleteInPlace under the same options.
 Result<Instance> SetOrientedDelete(const Instance& instance, ClassId cls,
                                    const RowPredicate& pred,
-                                   ExecContext& ctx = ExecContext::Default());
+                                   const ExecOptions& options = {});
 
 /// In-place set-oriented DELETE with all-or-nothing semantics: snapshots the
 /// instance, removes the doomed rows incrementally, and restores the
-/// snapshot on ANY failure (governance, injected fault, or structural
-/// error), so a failed statement leaves `instance` bit-identical to its
-/// pre-statement state.
+/// snapshot on ANY failure (governance, injected fault, a commit-hook veto,
+/// or structural error), so a failed statement leaves `instance`
+/// bit-identical to its pre-statement state. The options carry the context,
+/// the observability sinks, the commit hook and the view cache, which is
+/// sent the committed delta after the caller's hook accepted it.
 Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
                                 const RowPredicate& pred,
-                                ExecContext& ctx = ExecContext::Default(),
-                                const CommitHook& commit_hook = {});
-
-/// Unified form: ExecOptions carries the context, the observability sinks,
-/// and the commit hook in one struct. Prefer this overload.
-Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
-                                const RowPredicate& pred,
-                                const ExecOptions& options);
+                                const ExecOptions& options = {});
 
 /// Runs CursorDelete under every permutation of the rows (bounded by
 /// `max_rows`!) and reports whether all outcomes agree; when they do not,
@@ -77,48 +73,54 @@ Result<Instance> CursorUpdate(const AlgebraicUpdateMethod& method,
                               std::span<const Receiver> order,
                               ExecContext& ctx = ExecContext::Default());
 
+/// The signature [C, B] of "a := arg1" for a property a of type C → B: the
+/// type of every set-oriented UPDATE's receivers. InvalidArgument for an
+/// unknown property.
+Result<MethodSignature> AssignArgSignature(const Schema& schema,
+                                           PropertyId property);
+
 /// The trivial modification update "a := arg1" of type [C, B] that underlies
 /// every set-oriented UPDATE statement (Section 7): key-order independent by
-/// Proposition 5.8.
+/// Proposition 5.8. The statements below do not build it; they run its
+/// effect on a key set directly (ApplyAssignToKeySet).
 Result<std::unique_ptr<AlgebraicUpdateMethod>> MakeAssignArgMethod(
     const Schema* schema, PropertyId property);
 
 /// Set-oriented UPDATE: computes the receiver key set with `receiver_query`
 /// against the input instance (phase one), then applies `a := arg1` to it
 /// (phase two). `receiver_query`'s scheme must be (receiving class, target
-/// class of `property`).
+/// class of `property`). A copy plus SetOrientedUpdateInPlace under the same
+/// options.
 Result<Instance> SetOrientedUpdate(const Instance& instance,
                                    PropertyId property,
                                    const ExprPtr& receiver_query,
-                                   ExecContext& ctx = ExecContext::Default());
+                                   const ExecOptions& options = {});
 
-/// In-place set-oriented UPDATE with all-or-nothing semantics: computes the
-/// receiver key set (phase one), snapshots the instance, and applies the
-/// edge rewrites incrementally (phase two). On ANY failure — a governance
-/// stop, an injected fault at any probe point, or a structural error — the
-/// snapshot is restored before the error returns, so `instance` is
-/// bit-identical to its pre-statement state.
+/// In-place set-oriented UPDATE with all-or-nothing semantics. Phase one
+/// computes the receiver key set against the input state: from
+/// options.view_cache when it is a ViewCache (incrementally maintained; any
+/// cache error except a governance stop falls back to from-scratch
+/// evaluation — see incremental/view_cache.h), from scratch otherwise.
+/// Phase two is ApplyAssignToKeySet under the same options. On ANY failure —
+/// a governance stop, an injected fault at any probe point, a commit-hook
+/// veto, or a structural error — `instance` is bit-identical to its
+/// pre-statement state.
 Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
                                 const ExprPtr& receiver_query,
-                                ExecContext& ctx = ExecContext::Default(),
-                                const CommitHook& commit_hook = {});
+                                const ExecOptions& options = {});
 
-/// As above, but additionally serving phase one from — and publishing the
-/// committed delta to — an incremental view cache (the
-/// ExecOptions::view_cache contract; see incremental/view_cache.h). Any
-/// cache error falls back to from-scratch receiver evaluation. `view_cache`
-/// may be null, which is exactly the overload above.
-Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
-                                const ExprPtr& receiver_query,
-                                ExecContext& ctx,
-                                const CommitHook& commit_hook,
-                                DeltaSink* view_cache);
-
-/// Unified form: ExecOptions carries the context, the observability sinks,
-/// and the commit hook in one struct. Prefer this overload.
-Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
-                                const ExprPtr& receiver_query,
-                                const ExecOptions& options);
+/// Phase two of the set-oriented UPDATE, the one the statement, its copying
+/// form and EXPLAIN ANALYZE all run: applies `a := arg1` to the receivers of
+/// type AssignArgSignature(property). Fails with FailedPrecondition before
+/// any mutation unless `receivers` is a key set. Because it is one, the
+/// update replaces each receiving row's a-edges by the single queried
+/// target, row by row, after snapshotting the instance; on any failure
+/// (including a veto by options.commit_hook, which sees the pre- and
+/// post-statement states) the snapshot is restored. After a successful
+/// commit the delta is published to options.view_cache, if any.
+Status ApplyAssignToKeySet(Instance& instance, PropertyId property,
+                           std::span<const Receiver> receivers,
+                           const ExecOptions& options = {});
 
 }  // namespace setrec
 

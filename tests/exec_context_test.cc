@@ -252,7 +252,7 @@ TEST(BoundedDecisionTest, DecidesWhenTheBudgetSuffices) {
   ExecContext permissive;
   EXPECT_EQ(std::move(DecideOrderIndependenceBounded(
                           *add_bar, OrderIndependenceKind::kAbsolute,
-                          permissive))
+                          {.ctx = &permissive}))
                 .value(),
             OrderIndependenceVerdict::kIndependent);
 
@@ -260,7 +260,7 @@ TEST(BoundedDecisionTest, DecidesWhenTheBudgetSuffices) {
   ExecContext permissive2;
   EXPECT_EQ(std::move(DecideOrderIndependenceBounded(
                           *favorite, OrderIndependenceKind::kAbsolute,
-                          permissive2))
+                          {.ctx = &permissive2}))
                 .value(),
             OrderIndependenceVerdict::kDependent);
 }
@@ -272,7 +272,8 @@ TEST(BoundedDecisionTest, ExhaustedBudgetIsUnknownNotAVerdict) {
   auto add_bar = std::move(MakeAddBar(ds)).value();
   ExecContext ctx(ExecContext::StepBudget(50));
   EXPECT_EQ(std::move(DecideOrderIndependenceBounded(
-                          *add_bar, OrderIndependenceKind::kAbsolute, ctx))
+                          *add_bar, OrderIndependenceKind::kAbsolute,
+                          {.ctx = &ctx}))
                 .value(),
             OrderIndependenceVerdict::kUnknown);
 }
@@ -283,7 +284,7 @@ TEST(BoundedDecisionTest, CancellationIsNotFoldedIntoUnknown) {
   ExecContext ctx;
   ctx.RequestCancel();
   Result<OrderIndependenceVerdict> r = DecideOrderIndependenceBounded(
-      *add_bar, OrderIndependenceKind::kAbsolute, ctx);
+      *add_bar, OrderIndependenceKind::kAbsolute, {.ctx = &ctx});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
@@ -302,7 +303,7 @@ TEST(BoundedDecisionTest, NonPositiveMethodsStillErrorNotUnknown) {
                       .value();
   ExecContext ctx(ExecContext::StepBudget(50));
   Result<OrderIndependenceVerdict> r = DecideOrderIndependenceBounded(
-      *negative, OrderIndependenceKind::kAbsolute, ctx);
+      *negative, OrderIndependenceKind::kAbsolute, {.ctx = &ctx});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }

@@ -388,9 +388,10 @@ TEST_F(ExplainPayrollTest, AnalyzeSetOrientedUpdateReportsTheRun) {
   EXPECT_TRUE(join.analyzed);
   EXPECT_EQ(join.probe_rows, 100u);  // probe side: EmpSalary
   EXPECT_EQ(join.build_rows, 16u);   // build side: the (Old, New) pairs
-  EXPECT_EQ(plan.counters.at("sequential.receivers"), 100u);
-  // The set-oriented path applies sequentially; the dependency-graph
-  // counter belongs to the parallel runtime and stays zero here.
+  EXPECT_EQ(plan.counters.at("sequential.receivers"), 0u);
+  // Phase two is the statement's own key-set rewrite, not a sequential
+  // application; the dependency-graph counter belongs to the parallel
+  // runtime and stays zero here.
   EXPECT_EQ(plan.counters.at("apply.edges"), 0u);
   EXPECT_GT(plan.counters.at("evaluator.rows"), 0u);
   EXPECT_GT(plan.counters.at("evaluator.join_probes"), 0u);

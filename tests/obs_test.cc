@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -131,6 +133,10 @@ TEST(TracerTest, ChromeTraceAndSummaryAreWellFormed) {
     TraceSpan outer(&tracer, "outer");
     TraceSpan inner(&tracer, "inner");
   }
+  // A span opened more than a second after the tracer was built still
+  // prints its start exactly: integer microseconds with three decimals.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+  { TraceSpan late(&tracer, "late"); }
   std::ostringstream chrome;
   tracer.WriteChromeTrace(chrome);
   const std::string json = chrome.str();
@@ -138,6 +144,23 @@ TEST(TracerTest, ChromeTraceAndSummaryAreWellFormed) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"outer\""), std::string::npos);
   EXPECT_NE(json.find("\"inner\""), std::string::npos);
+
+  std::uint64_t late_start_ns = 0;
+  for (const SpanEvent& e : tracer.Events()) {
+    if (std::string_view(e.name) == "late") late_start_ns = e.start_ns;
+  }
+  ASSERT_GT(late_start_ns, 1'000'000'000u);
+  const std::size_t late_at = json.find("\"late\"");
+  ASSERT_NE(late_at, std::string::npos);
+  const std::size_t ts_at = json.find("\"ts\":", late_at) + 5;
+  const std::string ts = json.substr(ts_at, json.find(',', ts_at) - ts_at);
+  const std::size_t dot = ts.find('.');
+  ASSERT_NE(dot, std::string::npos) << ts;
+  ASSERT_EQ(ts.size() - dot, 4u) << ts;
+  EXPECT_EQ(std::stoull(ts.substr(0, dot)) * 1000 +
+                std::stoull(ts.substr(dot + 1)),
+            late_start_ns)
+      << ts;
 
   std::ostringstream summary;
   tracer.WriteSummary(summary);
@@ -394,9 +417,26 @@ TEST(ObsDeterminismTest, SequentialApplyReportsReceiversAndSpans) {
   ctx.set_metrics(&metrics);
   ASSERT_TRUE(ApplySequence(*w.method, w.instance, w.receivers, ctx).ok());
   EXPECT_EQ(metrics.engine.sequential_receivers.value(), w.receivers.size());
+  // Each M(I, t) evaluates under the caller's context, so its joins are
+  // charged to the caller's registry.
+  EXPECT_GT(metrics.engine.eval_rows.value(), 0u);
   const auto totals = tracer.StageTotals();
   ASSERT_TRUE(totals.contains("sequential/apply"));
   EXPECT_EQ(totals.at("sequential/apply").count, 1u);
+}
+
+TEST(ObsDeterminismTest, SequentialApplyGovernsEachReceiversEvaluation) {
+  // One receiver's evaluation of (B') joins its salary with the 8 NewSal
+  // pairs; a 4-row budget cannot hold that, and the caller's budget reaches
+  // inside M(I, t).
+  const PayrollWorkload w = BuildPayroll(16);
+  ExecContext::Limits limits;
+  limits.max_rows = 4;
+  ExecContext ctx(limits);
+  Result<Instance> out = SequentialApply(*w.method, w.instance, w.receivers,
+                                         ExecOptions{.ctx = &ctx});
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
 }
 
 // -- ExecOptions overloads of the SQL statements -----------------------------

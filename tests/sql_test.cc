@@ -9,9 +9,12 @@
 #include "algebraic/parallel.h"
 #include "coloring/inference.h"
 #include "coloring/soundness.h"
+#include "obs/explain.h"
+#include "obs/metrics.h"
 #include "sql/engine.h"
 #include "sql/improve.h"
 #include "sql/table.h"
+#include "text/printer.h"
 
 namespace setrec {
 namespace {
@@ -233,6 +236,65 @@ TEST_F(PayrollFixture, SetOrientedUpdateRejectsNonKeyQueries) {
       {"Emp", "New"});
   EXPECT_EQ(SetOrientedUpdate(db, ps_.salary, query).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+// -- One set-oriented UPDATE: every form runs the statement's phase two -----
+
+TEST(SetOrientedUpdateFormsTest, CopyingFormAndAnalyzeRunTheStatement) {
+  // A service-shaped drinkers tenant: every drinker likes one beer and each
+  // beer is served by exactly one bar, so "frequent the bar serving the beer
+  // you like" is a key set with one receiver per drinker.
+  constexpr std::uint32_t kBars = 32;
+  constexpr std::uint32_t kDrinkers = 1024;
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  Instance db(&ds.schema);
+  for (std::uint32_t i = 0; i < kBars; ++i) {
+    ASSERT_TRUE(db.AddObject(ObjectId(ds.bar, i)).ok());
+    ASSERT_TRUE(db.AddObject(ObjectId(ds.beer, i)).ok());
+  }
+  for (std::uint32_t i = 0; i < kBars; ++i) {
+    ASSERT_TRUE(db.AddEdge(ObjectId(ds.bar, i), ds.serves,
+                           ObjectId(ds.beer, (7 * i + 3) % kBars))
+                    .ok());
+  }
+  for (std::uint32_t d = 0; d < kDrinkers; ++d) {
+    const ObjectId drinker(ds.drinker, d);
+    ASSERT_TRUE(db.AddObject(drinker).ok());
+    ASSERT_TRUE(
+        db.AddEdge(drinker, ds.frequents, ObjectId(ds.bar, d % kBars)).ok());
+    ASSERT_TRUE(db.AddEdge(drinker, ds.likes,
+                           ObjectId(ds.beer, (5 * d + 1) % kBars))
+                    .ok());
+  }
+  const ExprPtr query = ra::Project(
+      ra::JoinEq(ra::Rel("Dl"), ra::Rel("Bas"), "l", "s"), {"D", "Ba"});
+
+  Instance in_place = db;
+  MetricsRegistry statement_metrics;
+  ASSERT_TRUE(SetOrientedUpdateInPlace(in_place, ds.frequents, query,
+                                       {.metrics = &statement_metrics})
+                  .ok());
+  EXPECT_FALSE(in_place == db);
+
+  const Instance copied =
+      std::move(SetOrientedUpdate(db, ds.frequents, query)).value();
+  EXPECT_TRUE(copied == in_place);
+  EXPECT_EQ(InstanceToText(copied), InstanceToText(in_place));
+
+  const std::string before = InstanceToText(db);
+  const ExplainPlan plan =
+      std::move(ExplainSetOrientedUpdate(db, ds.frequents, query,
+                                         /*analyze=*/true))
+          .value();
+  EXPECT_EQ(InstanceToText(db), before);
+  ASSERT_EQ(plan.roots.size(), 2u);
+  const PlanNode& apply = plan.roots[1];
+  EXPECT_EQ(apply.op, "Apply");
+  EXPECT_TRUE(apply.analyzed);
+  EXPECT_EQ(apply.actual_rows, kDrinkers);
+  // ANALYZE charges exactly what the statement charges: phase one's
+  // evaluation and nothing sequential.
+  EXPECT_EQ(plan.counters, LogicalCounters(statement_metrics));
 }
 
 }  // namespace
