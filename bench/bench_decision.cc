@@ -25,15 +25,13 @@ void RunDecision(benchmark::State& state, const SchemaT& schema, MakeFn make,
     if (!verdict.ok()) state.SkipWithError("decision failed");
     benchmark::DoNotOptimize(verdict);
   }
-  // Report the reduction's union width as a counter.
-  auto reductions =
-      std::move(BuildOrderIndependenceReduction(*method, kind)).value();
+  // Report the union width of the reductions the decision examined (a
+  // refuted run stops at its first refuted direction) as a counter.
+  DecisionCertificate certificate =
+      std::move(DecideOrderIndependenceCertified(*method, kind)).value();
   std::size_t disjuncts = 0;
-  for (const auto& r : reductions) {
-    disjuncts += std::move(TranslateToPositiveQuery(
-                               r.e_tt, method->context().reduction_catalog))
-                     .value()
-                     .disjuncts.size();
+  for (const auto& p : certificate.properties) {
+    disjuncts += p.raw_disjuncts_tt;
   }
   state.counters["union_branches"] = static_cast<double>(disjuncts);
 }

@@ -39,9 +39,9 @@ void Analyze(const AlgebraicUpdateMethod& method, const Schema& schema) {
               SatisfiesUpdateIsolationCondition(method) ? "holds" : "fails");
 
   if (method.IsPositiveMethod()) {
-    DecisionReport absolute = Unwrap(
-        DecideOrderIndependenceDetailed(method,
-                                        OrderIndependenceKind::kAbsolute),
+    DecisionCertificate absolute = Unwrap(
+        DecideOrderIndependenceCertified(method,
+                                         OrderIndependenceKind::kAbsolute),
         "decide");
     bool key = Unwrap(
         DecideOrderIndependence(method, OrderIndependenceKind::kKeyOrder),

@@ -161,93 +161,6 @@ Result<std::vector<ReductionExpressions>> BuildOrderIndependenceReduction(
   return out;
 }
 
-Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
-                                     OrderIndependenceKind kind,
-                                     const ExecOptions& options) {
-  if (!method.IsPositiveMethod()) {
-    return Status::InvalidArgument(
-        "order independence is only decidable for positive methods "
-        "(Theorem 5.12 / Corollary 5.7); use SearchOrderDependenceWitness");
-  }
-  ExecScope scope(options);
-  ExecContext& ctx = scope.ctx();
-  TraceSpan span = StartSpan(ctx, "decide/order-independence");
-  SETREC_ASSIGN_OR_RETURN(std::vector<ReductionExpressions> reductions,
-                          BuildOrderIndependenceReduction(method, kind));
-  const MethodContext& mctx = method.context();
-  for (const ReductionExpressions& r : reductions) {
-    SETREC_RETURN_IF_ERROR(ctx.CheckPoint("decision/property"));
-    SETREC_ASSIGN_OR_RETURN(
-        PositiveQuery q1,
-        TranslateToPositiveQuery(r.e_tt, mctx.reduction_catalog));
-    SETREC_ASSIGN_OR_RETURN(
-        PositiveQuery q2,
-        TranslateToPositiveQuery(r.e_ts, mctx.reduction_catalog));
-    SETREC_ASSIGN_OR_RETURN(
-        bool equivalent,
-        EquivalentUnder(q1, q2, mctx.reduction_deps, mctx.reduction_catalog,
-                        ctx));
-    if (!equivalent) return false;
-  }
-  return true;
-}
-
-Result<OrderIndependenceVerdict> DecideOrderIndependenceBounded(
-    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    const ExecOptions& options) {
-  Result<bool> decided = DecideOrderIndependence(method, kind, options);
-  if (decided.ok()) {
-    return *decided ? OrderIndependenceVerdict::kIndependent
-                    : OrderIndependenceVerdict::kDependent;
-  }
-  if (decided.status().IsRetryable()) {
-    return OrderIndependenceVerdict::kUnknown;
-  }
-  return decided.status();
-}
-
-Result<DecisionReport> DecideOrderIndependenceDetailed(
-    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    const ExecOptions& options) {
-  if (!method.IsPositiveMethod()) {
-    return Status::InvalidArgument(
-        "order independence is only decidable for positive methods "
-        "(Theorem 5.12 / Corollary 5.7)");
-  }
-  ExecScope scope(options);
-  ExecContext& ctx = scope.ctx();
-  TraceSpan span = StartSpan(ctx, "decide/order-independence");
-  SETREC_ASSIGN_OR_RETURN(std::vector<ReductionExpressions> reductions,
-                          BuildOrderIndependenceReduction(method, kind));
-  const MethodContext& mctx = method.context();
-  DecisionReport report;
-  report.order_independent = true;
-  for (const ReductionExpressions& r : reductions) {
-    SETREC_RETURN_IF_ERROR(ctx.CheckPoint("decision/property"));
-    SETREC_ASSIGN_OR_RETURN(
-        PositiveQuery q1,
-        TranslateToPositiveQuery(r.e_tt, mctx.reduction_catalog));
-    SETREC_ASSIGN_OR_RETURN(
-        PositiveQuery q2,
-        TranslateToPositiveQuery(r.e_ts, mctx.reduction_catalog));
-    DecisionReport::PropertyDetail detail;
-    detail.property = r.property;
-    detail.raw_disjuncts_tt = q1.disjuncts.size();
-    detail.raw_disjuncts_ts = q2.disjuncts.size();
-    PositiveQuery p1 = SimplifyPositiveQuery(std::move(q1), ctx);
-    PositiveQuery p2 = SimplifyPositiveQuery(std::move(q2), ctx);
-    detail.pruned_disjuncts_tt = p1.disjuncts.size();
-    detail.pruned_disjuncts_ts = p2.disjuncts.size();
-    SETREC_ASSIGN_OR_RETURN(
-        detail.equivalent,
-        EquivalentUnder(p1, p2, mctx.reduction_deps, mctx.reduction_catalog,
-                        ctx));
-    if (!detail.equivalent) report.order_independent = false;
-    report.properties.push_back(detail);
-  }
-  return report;
-}
-
 namespace {
 
 std::string RenderObject(ObjectId o) {
@@ -297,7 +210,7 @@ Result<DecisionCertificate> DecideOrderIndependenceCertified(
   if (!method.IsPositiveMethod()) {
     return Status::InvalidArgument(
         "order independence is only decidable for positive methods "
-        "(Theorem 5.12 / Corollary 5.7)");
+        "(Theorem 5.12 / Corollary 5.7); use SearchOrderDependenceWitness");
   }
   // Per-test counter deltas need a registry; fall back to a private one so
   // certificates are populated even for unobserved callers.
@@ -317,7 +230,6 @@ Result<DecisionCertificate> DecideOrderIndependenceCertified(
   certificate.kind = kind;
   certificate.method_name = method.name();
   certificate.order_independent = true;
-  certificate.report.order_independent = true;
   for (const ReductionExpressions& r : reductions) {
     SETREC_RETURN_IF_ERROR(ctx.CheckPoint("decision/property"));
     SETREC_ASSIGN_OR_RETURN(
@@ -326,15 +238,16 @@ Result<DecisionCertificate> DecideOrderIndependenceCertified(
     SETREC_ASSIGN_OR_RETURN(
         PositiveQuery q2,
         TranslateToPositiveQuery(r.e_ts, mctx.reduction_catalog));
-    DecisionReport::PropertyDetail detail;
+    DecisionCertificate::PropertyDetail& detail =
+        certificate.properties.emplace_back();
     detail.property = r.property;
     detail.raw_disjuncts_tt = q1.disjuncts.size();
     detail.raw_disjuncts_ts = q2.disjuncts.size();
-    PositiveQuery p1 = SimplifyPositiveQuery(std::move(q1), ctx);
-    PositiveQuery p2 = SimplifyPositiveQuery(std::move(q2), ctx);
+    // Each side is pruned once and shared by both directions.
+    const PositiveQuery p1 = SimplifyPositiveQuery(std::move(q1), ctx);
+    const PositiveQuery p2 = SimplifyPositiveQuery(std::move(q2), ctx);
     detail.pruned_disjuncts_tt = p1.disjuncts.size();
     detail.pruned_disjuncts_ts = p2.disjuncts.size();
-    detail.equivalent = true;
 
     struct Direction {
       const char* label;
@@ -343,7 +256,7 @@ Result<DecisionCertificate> DecideOrderIndependenceCertified(
     };
     for (const Direction& d :
          {Direction{"tt⊆ts", &p1, &p2}, Direction{"ts⊆tt", &p2, &p1}}) {
-      ContainmentCertificate test;
+      ContainmentCertificate& test = certificate.tests.emplace_back();
       test.property = r.property;
       test.property_name = mctx.schema->property(r.property).name;
       test.direction = d.label;
@@ -362,18 +275,40 @@ Result<DecisionCertificate> DecideOrderIndependenceCertified(
       test.hom_candidates = metrics.engine.hom_candidates.value() - cands0;
       test.contained = result.contained;
       if (!result.contained) {
+        // One refuted direction decides the method; further tests would
+        // only cost time (a refutation can be far more expensive to run
+        // than the proof of a contained direction).
         test.counterexample = RenderCounterexample(result);
-        detail.equivalent = false;
+        certificate.order_independent = false;
+        return certificate;
       }
-      certificate.tests.push_back(std::move(test));
     }
-    if (!detail.equivalent) {
-      certificate.order_independent = false;
-      certificate.report.order_independent = false;
-    }
-    certificate.report.properties.push_back(detail);
+    detail.equivalent = true;
   }
   return certificate;
+}
+
+Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
+                                     OrderIndependenceKind kind,
+                                     const ExecOptions& options) {
+  SETREC_ASSIGN_OR_RETURN(
+      DecisionCertificate certificate,
+      DecideOrderIndependenceCertified(method, kind, options));
+  return certificate.order_independent;
+}
+
+Result<OrderIndependenceVerdict> DecideOrderIndependenceBounded(
+    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
+    const ExecOptions& options) {
+  Result<bool> decided = DecideOrderIndependence(method, kind, options);
+  if (decided.ok()) {
+    return *decided ? OrderIndependenceVerdict::kIndependent
+                    : OrderIndependenceVerdict::kDependent;
+  }
+  if (decided.status().IsRetryable()) {
+    return OrderIndependenceVerdict::kUnknown;
+  }
+  return decided.status();
 }
 
 void WriteCertificateJsonl(const DecisionCertificate& certificate,
@@ -385,7 +320,7 @@ void WriteCertificateJsonl(const DecisionCertificate& certificate,
                         : "key-order")
       << ",\"order_independent\":"
       << (certificate.order_independent ? "true" : "false")
-      << ",\"properties\":" << certificate.report.properties.size()
+      << ",\"properties\":" << certificate.properties.size()
       << ",\"tests\":" << certificate.tests.size() << "}\n";
   for (const ContainmentCertificate& t : certificate.tests) {
     out << "{\"type\":\"containment-test\",\"property\":" << t.property
@@ -413,8 +348,8 @@ std::string CertificateToText(const DecisionCertificate& certificate) {
          (certificate.order_independent ? "ORDER INDEPENDENT"
                                         : "NOT ORDER INDEPENDENT") +
          "\n";
-  for (const DecisionReport::PropertyDetail& p :
-       certificate.report.properties) {
+  for (const DecisionCertificate::PropertyDetail& p :
+       certificate.properties) {
     out += "property " + std::to_string(p.property) + ": tt " +
            std::to_string(p.raw_disjuncts_tt) + "→" +
            std::to_string(p.pruned_disjuncts_tt) + " disjuncts, ts " +
@@ -436,21 +371,47 @@ std::string CertificateToText(const DecisionCertificate& certificate) {
   return out;
 }
 
-bool SatisfiesUpdateIsolationCondition(const AlgebraicUpdateMethod& method) {
+namespace {
+
+/// The relations Ca backing the properties `method` updates, sorted.
+std::vector<std::string> WrittenRelations(const AlgebraicUpdateMethod& method) {
   const Schema& schema = *method.context().schema;
-  std::vector<std::string> updated;
+  std::vector<std::string> written;
   for (const UpdateStatement& s : method.statements()) {
-    updated.push_back(PropertyRelationName(schema, s.property));
+    written.push_back(PropertyRelationName(schema, s.property));
   }
-  std::sort(updated.begin(), updated.end());
-  for (const UpdateStatement& s : method.statements()) {
+  std::sort(written.begin(), written.end());
+  return written;
+}
+
+/// True when some update expression of `reader` accesses a relation in the
+/// sorted list `written`.
+bool ReadsAnyOf(const AlgebraicUpdateMethod& reader,
+                const std::vector<std::string>& written) {
+  for (const UpdateStatement& s : reader.statements()) {
     for (const std::string& rel : ReferencedRelations(*s.expression)) {
-      if (std::binary_search(updated.begin(), updated.end(), rel)) {
-        return false;
-      }
+      if (std::binary_search(written.begin(), written.end(), rel)) return true;
     }
   }
-  return true;
+  return false;
+}
+
+}  // namespace
+
+bool SatisfiesUpdateIsolationCondition(const AlgebraicUpdateMethod& method) {
+  return !ReadsAnyOf(method, WrittenRelations(method));
+}
+
+bool SatisfyPairIsolationCondition(const AlgebraicUpdateMethod& a,
+                                   const AlgebraicUpdateMethod& b) {
+  const std::vector<std::string> writes_a = WrittenRelations(a);
+  const std::vector<std::string> writes_b = WrittenRelations(b);
+  for (const std::string& rel : writes_a) {
+    if (std::binary_search(writes_b.begin(), writes_b.end(), rel)) {
+      return false;
+    }
+  }
+  return !ReadsAnyOf(a, writes_b) && !ReadsAnyOf(b, writes_a);
 }
 
 Result<std::optional<OrderDependenceWitness>> SearchOrderDependenceWitness(

@@ -38,59 +38,6 @@ struct ReductionExpressions {
 Result<std::vector<ReductionExpressions>> BuildOrderIndependenceReduction(
     const AlgebraicUpdateMethod& method, OrderIndependenceKind kind);
 
-/// Decides (key-)order independence of a *positive* algebraic method
-/// (Theorem 5.12): builds the reduction, translates both sides of every
-/// property's pair into positive queries, and tests equivalence under the
-/// functional, inclusion and disjointness dependencies of the method
-/// context (Lemma 5.13). Fails with InvalidArgument on non-positive methods
-/// — the problem is undecidable there (Corollary 5.7); use
-/// SearchOrderDependenceWitness for refutation instead.
-///
-/// The underlying containment tests run under the options' context; with a
-/// step budget or deadline the call returns kResourceExhausted /
-/// kDeadlineExceeded. Use DecideOrderIndependenceBounded for the
-/// three-valued wrapper that turns those into a sound kUnknown verdict.
-Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
-                                     OrderIndependenceKind kind,
-                                     const ExecOptions& options = {});
-
-/// Three-valued verdict for the bounded decision procedure. kUnknown means
-/// "not decided within the budget" — it is sound to treat such a method as
-/// potentially order dependent, never as independent.
-enum class OrderIndependenceVerdict { kIndependent, kDependent, kUnknown };
-
-/// Runs DecideOrderIndependence under the options' context and degrades
-/// retryable governance failures (step budget, deadline, row/memory caps)
-/// to kUnknown instead of an error. Cancellation and genuine errors still
-/// propagate: a cancelled run decided nothing and should not be reported as
-/// a verdict.
-Result<OrderIndependenceVerdict> DecideOrderIndependenceBounded(
-    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    const ExecOptions& options = {});
-
-/// A detailed account of one decision run: per updated property, the union
-/// widths of the two reduction sides before and after disjunct-subsumption
-/// pruning, and the equivalence verdict. The widths are the decision
-/// procedure's dominant cost driver (bench_decision charts them).
-struct DecisionReport {
-  bool order_independent = false;
-  struct PropertyDetail {
-    PropertyId property = 0;
-    std::size_t raw_disjuncts_tt = 0;
-    std::size_t raw_disjuncts_ts = 0;
-    std::size_t pruned_disjuncts_tt = 0;
-    std::size_t pruned_disjuncts_ts = 0;
-    bool equivalent = false;
-  };
-  std::vector<PropertyDetail> properties;
-};
-
-/// Like DecideOrderIndependence but evaluates every property (no early
-/// exit) and reports the reduction statistics.
-Result<DecisionReport> DecideOrderIndependenceDetailed(
-    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    const ExecOptions& options = {});
-
 /// Provenance of one containment test the decision procedure attempted: the
 /// direction, the verdict, the budget it spent (context steps plus the
 /// logical engine counters the chase/homomorphism machinery charged), and —
@@ -113,25 +60,66 @@ struct ContainmentCertificate {
   std::string counterexample;
 };
 
-/// A decision run with its full audit trail: the Detailed report's disjunct
-/// statistics plus one ContainmentCertificate per containment direction
-/// attempted. Every test is recorded — including the ones after a failure —
-/// so a "not order independent" verdict always names the refuted direction
-/// and its counterexample.
+/// One run of the Theorem 5.12 decision procedure with its audit trail: the
+/// verdict, per updated property the union widths of the two reduction sides
+/// before and after disjunct-subsumption pruning (the procedure's dominant
+/// cost driver, which bench_decision charts), and one ContainmentCertificate
+/// per containment direction attempted. A refuted certificate ends at its
+/// first refuted direction: its last test is the only refuted one and names
+/// the counterexample; properties after it are not examined.
 struct DecisionCertificate {
   bool order_independent = false;
   OrderIndependenceKind kind = OrderIndependenceKind::kAbsolute;
   std::string method_name;
-  DecisionReport report;
+  struct PropertyDetail {
+    PropertyId property = 0;
+    std::size_t raw_disjuncts_tt = 0;
+    std::size_t raw_disjuncts_ts = 0;
+    std::size_t pruned_disjuncts_tt = 0;
+    std::size_t pruned_disjuncts_ts = 0;
+    bool equivalent = false;
+  };
+  std::vector<PropertyDetail> properties;
   std::vector<ContainmentCertificate> tests;
 };
 
-/// Like DecideOrderIndependenceDetailed, but runs the two containment
-/// directions of every property separately and records a certificate for
-/// each. When the effective context has no metrics registry, a private one
-/// captures the per-test counter deltas, so certificates are always
-/// populated.
+/// Decides (key-)order independence of a *positive* algebraic method
+/// (Theorem 5.12) — the one implementation of the procedure. Per updated
+/// property it builds the Theorem 5.6 reduction, translates both sides into
+/// positive queries, prunes each once (SimplifyPositiveQuery) and tests the
+/// two containment directions under the functional, inclusion and
+/// disjointness dependencies of the method context (Lemma 5.13), recording a
+/// certificate per direction. When the effective context has no metrics
+/// registry, a private one captures the per-test counter deltas, so
+/// certificates are always populated.
+///
+/// Fails with InvalidArgument on non-positive methods — the problem is
+/// undecidable there (Corollary 5.7); use SearchOrderDependenceWitness for
+/// refutation instead. The containment tests run under the options'
+/// context; with a step budget or deadline the call returns
+/// kResourceExhausted / kDeadlineExceeded.
 Result<DecisionCertificate> DecideOrderIndependenceCertified(
+    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
+    const ExecOptions& options = {});
+
+/// The verdict of DecideOrderIndependenceCertified. Use
+/// DecideOrderIndependenceBounded for the three-valued wrapper that turns
+/// governance stops into a sound kUnknown verdict.
+Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
+                                     OrderIndependenceKind kind,
+                                     const ExecOptions& options = {});
+
+/// Three-valued verdict for the bounded decision procedure. kUnknown means
+/// "not decided within the budget" — it is sound to treat such a method as
+/// potentially order dependent, never as independent.
+enum class OrderIndependenceVerdict { kIndependent, kDependent, kUnknown };
+
+/// Runs DecideOrderIndependenceCertified under the options' context and
+/// degrades retryable governance failures (step budget, deadline, row/memory
+/// caps) to kUnknown instead of an error. Cancellation and genuine errors
+/// still propagate: a cancelled run decided nothing and should not be
+/// reported as a verdict.
+Result<OrderIndependenceVerdict> DecideOrderIndependenceBounded(
     const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
     const ExecOptions& options = {});
 
@@ -150,6 +138,15 @@ std::string CertificateToText(const DecisionCertificate& certificate);
 /// corresponding to a property the method updates. (Sufficient only: add_bar
 /// violates it yet is order independent, Example 5.9.)
 bool SatisfiesUpdateIsolationCondition(const AlgebraicUpdateMethod& method);
+
+/// The same condition lifted to two distinct methods (the transaction
+/// layer's cross-method commutativity test): the relations Ca the two
+/// methods update are disjoint, and neither method's update expressions
+/// access a relation the other updates. Writes that never meet and reads
+/// that never see the other's writes compose to the same state in either
+/// order.
+bool SatisfyPairIsolationCondition(const AlgebraicUpdateMethod& a,
+                                   const AlgebraicUpdateMethod& b);
 
 /// A concrete refutation of order independence: an instance and two
 /// receivers whose two application orders disagree.

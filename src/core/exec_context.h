@@ -31,9 +31,12 @@ namespace setrec {
 ///                            external std::atomic<bool>, so another thread
 ///                            or a signal handler can abort a computation)
 ///
-/// A default-constructed context is fully permissive; every governed entry
-/// point takes `ExecContext& ctx = ExecContext::Default()` so existing
-/// callers keep working unchanged. Checks are cooperative: a context only
+/// A default-constructed context is fully permissive. Governed entry points
+/// take `const ExecOptions& = {}` (core/exec_options.h), whose null `ctx`
+/// means a fresh permissive context per call; a caller governs a call by
+/// lending its own context as `{.ctx = &ctx}`. The remaining low-level
+/// kernels take `ExecContext& ctx = ExecContext::Default()`, the permissive
+/// context shared per thread. Checks are cooperative: a context only
 /// observes the work that is reported to it, and aborting never corrupts
 /// state — all governed code paths unwind through Status propagation (the
 /// fault-injection tests prove this at every probe point).

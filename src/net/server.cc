@@ -895,8 +895,10 @@ void Server::CaptureSlowRequest(Tenant& tenant, const Request& request,
       return Status::FailedPrecondition("no local store");
     }
     ExecContext ctx(tenant.config.store_options.limits);
-    ExecOptions exec;
-    exec.ctx = &ctx;
+    // The tenant's view cache serves phase one of an update's plan the way
+    // it served the update itself.
+    const ExecOptions exec{.ctx = &ctx,
+                           .view_cache = tenant.view_cache.get()};
     std::uint64_t sequence = 0;
     const Instance state = tenant.store->SnapshotState(&sequence);
     if (request.op == "query") {

@@ -96,11 +96,15 @@ Result<ExplainPlan> ExplainExpressionAnalyze(const ExprPtr& expr,
 /// EXPLAIN [ANALYZE] for the Section 7 set-oriented UPDATE: renders the
 /// two-phase pipeline — the receiver query evaluated against the
 /// pre-statement state, then the key-order independent `a := arg1`
-/// application. ANALYZE evaluates phase one with a statistics-collecting
-/// evaluator and runs the statement's own phase two (ApplyAssignToKeySet,
-/// sql/engine.h) on a scratch copy; `instance` is never mutated, and the
-/// counters equal those SetOrientedUpdateInPlace charges on the same input
-/// without a view cache.
+/// application. ANALYZE takes phase one the way SetOrientedUpdateInPlace
+/// does: from options.view_cache when it is a ViewCache that can serve the
+/// query (a governance stop propagates; any other cache error falls back),
+/// rendered as a cache read with its rows and wall time and no operator
+/// children; otherwise with a statistics-collecting evaluator. It then runs
+/// the statement's own phase two (ApplyAssignToKeySet, sql/engine.h) on a
+/// scratch copy, publishing nothing to the cache; `instance` is never
+/// mutated, and the counters equal those SetOrientedUpdateInPlace charges on
+/// the same input and an identically primed cache.
 Result<ExplainPlan> ExplainSetOrientedUpdate(const Instance& instance,
                                              PropertyId property,
                                              const ExprPtr& receiver_query,

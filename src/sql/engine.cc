@@ -196,31 +196,32 @@ Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
   // is responsible for having fed the cache every prior mutation of
   // `instance` — phase two still rejects receivers that do not exist in the
   // instance, but cannot detect a stale-but-valid receiver set.
-  std::vector<Receiver> receivers;
-  bool from_cache = false;
-  if (ViewCache* cache = options.view_cache != nullptr
-                             ? options.view_cache->AsViewCache()
-                             : nullptr) {
-    Result<std::vector<Receiver>> cached =
-        ReceiversFromView(*cache, receiver_query, signature, &ctx);
-    if (cached.ok()) {
-      receivers = std::move(cached).value();
-      from_cache = true;
-    } else if (IsGovernanceError(cached.status())) {
-      // A deadline/budget/cancellation stop is not a cache miss: the answer
-      // was not computed and a from-scratch retry would blow the same
-      // budget. Propagate, exactly like the uncached path would.
-      return cached.status();
-    }
-  }
-  if (!from_cache) {
+  SETREC_ASSIGN_OR_RETURN(
+      std::optional<std::vector<Receiver>> receivers,
+      CachedReceivers(options.view_cache, receiver_query, signature, ctx));
+  if (!receivers.has_value()) {
     SETREC_ASSIGN_OR_RETURN(receivers, ReceiversFromQuery(receiver_query,
                                                           instance, signature,
                                                           ctx));
   }
   ExecOptions phase_two = options;
   phase_two.ctx = &ctx;
-  return ApplyAssignToKeySet(instance, property, receivers, phase_two);
+  return ApplyAssignToKeySet(instance, property, *receivers, phase_two);
+}
+
+Result<std::optional<std::vector<Receiver>>> CachedReceivers(
+    DeltaSink* view_cache, const ExprPtr& receiver_query,
+    const MethodSignature& signature, ExecContext& ctx) {
+  ViewCache* cache =
+      view_cache != nullptr ? view_cache->AsViewCache() : nullptr;
+  if (cache == nullptr) return std::optional<std::vector<Receiver>>();
+  Result<std::vector<Receiver>> cached =
+      ReceiversFromView(*cache, receiver_query, signature, &ctx);
+  if (cached.ok()) {
+    return std::optional<std::vector<Receiver>>(std::move(cached).value());
+  }
+  if (IsGovernanceError(cached.status())) return cached.status();
+  return std::optional<std::vector<Receiver>>();
 }
 
 Status ApplyAssignToKeySet(Instance& instance, PropertyId property,

@@ -4,6 +4,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "algebraic/method_library.h"
 #include "core/exec_context.h"
@@ -108,6 +109,17 @@ Result<Instance> SetOrientedUpdate(const Instance& instance,
 Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
                                 const ExprPtr& receiver_query,
                                 const ExecOptions& options = {});
+
+/// Phase one's cache read, shared by SetOrientedUpdateInPlace and EXPLAIN
+/// ANALYZE of the statement: the receivers of `receiver_query` from
+/// `view_cache` when it is a ViewCache. nullopt when it is not, or when the
+/// cache cannot serve the query (unprimed, unsupported expression, a
+/// receiver-shape mismatch); the caller then evaluates from scratch. A
+/// governance stop is not a cache miss and propagates: the answer was not
+/// computed, and a from-scratch retry would blow the same budget.
+Result<std::optional<std::vector<Receiver>>> CachedReceivers(
+    DeltaSink* view_cache, const ExprPtr& receiver_query,
+    const MethodSignature& signature, ExecContext& ctx);
 
 /// Phase two of the set-oriented UPDATE, the one the statement, its copying
 /// form and EXPLAIN ANALYZE all run: applies `a := arg1` to the receivers of

@@ -1,54 +1,8 @@
 #include "txn/commutativity_cache.h"
 
-#include <algorithm>
 #include <utility>
-#include <vector>
-
-#include "objrel/encoding.h"
-#include "relational/expression.h"
 
 namespace setrec {
-
-namespace {
-
-/// Relations backing the properties `method` updates, sorted.
-std::vector<std::string> WrittenRelations(const AlgebraicUpdateMethod& method) {
-  const Schema& schema = *method.context().schema;
-  std::vector<std::string> written;
-  for (const UpdateStatement& s : method.statements()) {
-    written.push_back(PropertyRelationName(schema, s.property));
-  }
-  std::sort(written.begin(), written.end());
-  return written;
-}
-
-/// True when some update expression of `reader` references a relation in the
-/// sorted list `written`.
-bool ReadsAnyOf(const AlgebraicUpdateMethod& reader,
-                const std::vector<std::string>& written) {
-  for (const UpdateStatement& s : reader.statements()) {
-    for (const std::string& rel : ReferencedRelations(*s.expression)) {
-      if (std::binary_search(written.begin(), written.end(), rel)) return true;
-    }
-  }
-  return false;
-}
-
-/// The cross-method isolation test (Proposition 5.8 lifted to a pair):
-/// disjoint write sets, and neither side reads what the other writes.
-bool SyntacticallyCommute(const AlgebraicUpdateMethod& a,
-                          const AlgebraicUpdateMethod& b) {
-  const std::vector<std::string> writes_a = WrittenRelations(a);
-  const std::vector<std::string> writes_b = WrittenRelations(b);
-  for (const std::string& rel : writes_a) {
-    if (std::binary_search(writes_b.begin(), writes_b.end(), rel)) {
-      return false;
-    }
-  }
-  return !ReadsAnyOf(a, writes_b) && !ReadsAnyOf(b, writes_a);
-}
-
-}  // namespace
 
 bool CommutativityCache::Commutes(const AlgebraicUpdateMethod& a,
                                   const AlgebraicUpdateMethod& b) {
@@ -83,7 +37,7 @@ bool CommutativityCache::Commutes(const AlgebraicUpdateMethod& a,
     // Undecidable (non-positive method, exhausted budget): conservatively
     // not commutative, with no certificate to show.
   } else {
-    verdict.commutes = SyntacticallyCommute(a, b);
+    verdict.commutes = SatisfyPairIsolationCondition(a, b);
   }
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = verdicts_.emplace(key, std::move(verdict));

@@ -26,13 +26,11 @@ namespace setrec {
 ///     sequential application over any receiver multiset is precisely what
 ///     makes two transactions' interleaved applications order-free. The full
 ///     DecisionCertificate is retained and shared across transactions.
-///   * distinct methods — decided syntactically, mirroring Proposition 5.8's
-///     isolation condition across methods: the pair commutes when the
-///     relation sets the two methods write (PropertyRelationName of their
-///     updated properties) are disjoint and neither method's update
-///     expressions read (ReferencedRelations) a relation the other writes.
-///     Writes that never meet and reads that never see the other's writes
-///     compose to the same state in either order.
+///   * distinct methods — decided syntactically by
+///     SatisfyPairIsolationCondition, Proposition 5.8's isolation condition
+///     lifted to the pair: the relations the two methods write are disjoint
+///     and neither method's update expressions read a relation the other
+///     writes.
 ///
 /// Verdicts are keyed by (method name, epoch). Invalidate() bumps a name's
 /// epoch, so redefining a method under the same name lazily orphans every

@@ -95,6 +95,21 @@ TEST_P(DecisionCrossValidation, VerdictMatchesSampledSemantics) {
                                        *method,
                                        OrderIndependenceKind::kKeyOrder))
                              .value();
+  // The boolean verdict, the certificate's and the bounded procedure's are
+  // one decision.
+  for (const auto& [kind, verdict] :
+       {std::pair{OrderIndependenceKind::kAbsolute, absolute},
+        std::pair{OrderIndependenceKind::kKeyOrder, key_order}}) {
+    EXPECT_EQ(std::move(DecideOrderIndependenceCertified(*method, kind))
+                  .value()
+                  .order_independent,
+              verdict)
+        << ExprToString(*e);
+    EXPECT_EQ(std::move(DecideOrderIndependenceBounded(*method, kind)).value(),
+              verdict ? OrderIndependenceVerdict::kIndependent
+                      : OrderIndependenceVerdict::kDependent)
+        << ExprToString(*e);
+  }
   // Absolute implies key-order (key sets are sets).
   if (absolute) {
     EXPECT_TRUE(key_order) << ExprToString(*e);

@@ -536,7 +536,7 @@ TEST(CertificateTest, AddBarCertificateRecordsEveryContainedTest) {
   EXPECT_EQ(cert.method_name, add_bar->name());
   // Two directions per updated property, all contained, each with its
   // budget accounting.
-  ASSERT_EQ(cert.tests.size(), 2 * cert.report.properties.size());
+  ASSERT_EQ(cert.tests.size(), 2 * cert.properties.size());
   ASSERT_FALSE(cert.tests.empty());
   for (std::size_t i = 0; i < cert.tests.size(); ++i) {
     const ContainmentCertificate& t = cert.tests[i];

@@ -142,8 +142,8 @@ TEST_F(GadgetTest, RejectsInstancesWithGadgetObjects) {
 TEST(DecisionReportTest, ReportsUnionWidthsAndPruning) {
   DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
   auto add_bar = std::move(MakeAddBar(ds)).value();
-  DecisionReport report =
-      std::move(DecideOrderIndependenceDetailed(
+  DecisionCertificate report =
+      std::move(DecideOrderIndependenceCertified(
                     *add_bar, OrderIndependenceKind::kAbsolute))
           .value();
   EXPECT_TRUE(report.order_independent);
@@ -156,10 +156,10 @@ TEST(DecisionReportTest, ReportsUnionWidthsAndPruning) {
   EXPECT_LE(d.pruned_disjuncts_ts, d.raw_disjuncts_ts);
 
   auto favorite = std::move(MakeFavoriteBar(ds)).value();
-  DecisionReport fav = std::move(DecideOrderIndependenceDetailed(
-                                     *favorite,
-                                     OrderIndependenceKind::kAbsolute))
-                           .value();
+  DecisionCertificate fav = std::move(DecideOrderIndependenceCertified(
+                                          *favorite,
+                                          OrderIndependenceKind::kAbsolute))
+                                .value();
   EXPECT_FALSE(fav.order_independent);
   ASSERT_EQ(fav.properties.size(), 1u);
   EXPECT_FALSE(fav.properties[0].equivalent);

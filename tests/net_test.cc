@@ -1223,6 +1223,32 @@ TEST_F(NetServiceTest, SlowRequestsAreCapturedWithPlanSpansAndFlightSlice) {
       3u);
 }
 
+TEST_F(NetServiceTest, SlowUpdateLogsTheViewCacheServedPhaseOne) {
+  // The tenant's view cache served the update's receiver set, so the plan
+  // the slow log captures must say so rather than describe an evaluation
+  // the update never ran.
+  TenantConfig slow = Tenant("acme");
+  ASSERT_TRUE(slow.incremental_views);
+  slow.slow_request_threshold = std::chrono::nanoseconds(1);
+  const std::string dir = MakeTempDir("srv");
+  auto server = MakeServer(dir, {slow});
+  Client client(ClientOptions(server.get(), "acme"));
+  MustOk(client.ApplyDelta("delta { add object A(1); add object B(2); }"));
+  MustOk(client.Update("f", "product(A, B)"));
+
+  std::ifstream in(std::filesystem::path(dir) / "acme" / "slowlog.jsonl");
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(in, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u);  // the delta and the update
+  EXPECT_NE(lines[1].find("\"op\":\"update\""), std::string::npos);
+  EXPECT_NE(lines[1].find("phase 1: served by the incremental view cache"),
+            std::string::npos)
+      << lines[1];
+  EXPECT_EQ(lines[1].find("evaluated against the pre-statement state"),
+            std::string::npos);
+}
+
 TEST_F(NetServiceTest, SpanParentageIsBitStableAcrossEveryFrameFaultMode) {
   // A traced update's family tree — with identical sibling subtrees
   // deduplicated (Tracer::TreeSignatureForTrace) — must be byte-identical

@@ -84,6 +84,27 @@ TEST(DecisionTest, RejectsNonPositiveMethods) {
       StatusCode::kInvalidArgument);
 }
 
+TEST(DecisionTest, RefutedCertificateEndsAtItsFirstRefutedDirection) {
+  // copy_extend is not absolutely order independent and updates two
+  // properties, so a run that went on after the refutation would record
+  // further tests.
+  PairSchema ps = std::move(MakePairSchema()).value();
+  auto method = std::move(MakeCopyExtendMethod(ps)).value();
+  DecisionCertificate cert =
+      std::move(DecideOrderIndependenceCertified(
+                    *method, OrderIndependenceKind::kAbsolute))
+          .value();
+  EXPECT_FALSE(cert.order_independent);
+  ASSERT_FALSE(cert.tests.empty());
+  const ContainmentCertificate& last = cert.tests.back();
+  EXPECT_FALSE(last.contained);
+  EXPECT_FALSE(last.counterexample.empty());
+  for (std::size_t i = 0; i + 1 < cert.tests.size(); ++i) {
+    EXPECT_TRUE(cert.tests[i].contained)
+        << cert.tests[i].property_name << " " << cert.tests[i].direction;
+  }
+}
+
 TEST(RefuterTest, FindsWitnessForFavoriteBar) {
   DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
   auto favorite = std::move(MakeFavoriteBar(ds)).value();

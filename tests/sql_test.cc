@@ -7,6 +7,7 @@
 #include "algebraic/order_independence.h"
 #include "relational/builder.h"
 #include "algebraic/parallel.h"
+#include "incremental/view_cache.h"
 #include "coloring/inference.h"
 #include "coloring/soundness.h"
 #include "obs/explain.h"
@@ -240,14 +241,13 @@ TEST_F(PayrollFixture, SetOrientedUpdateRejectsNonKeyQueries) {
 
 // -- One set-oriented UPDATE: every form runs the statement's phase two -----
 
-TEST(SetOrientedUpdateFormsTest, CopyingFormAndAnalyzeRunTheStatement) {
-  // A service-shaped drinkers tenant: every drinker likes one beer and each
-  // beer is served by exactly one bar, so "frequent the bar serving the beer
-  // you like" is a key set with one receiver per drinker.
-  constexpr std::uint32_t kBars = 32;
-  constexpr std::uint32_t kDrinkers = 1024;
-  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
-  Instance db(&ds.schema);
+// A service-shaped drinkers tenant: every drinker likes one beer and each
+// beer is served by exactly one bar, so "frequent the bar serving the beer
+// you like" (ServiceUpdateQuery) is a key set with one receiver per drinker.
+constexpr std::uint32_t kBars = 32;
+constexpr std::uint32_t kDrinkers = 1024;
+
+void BuildServiceTenant(const DrinkersSchema& ds, Instance& db) {
   for (std::uint32_t i = 0; i < kBars; ++i) {
     ASSERT_TRUE(db.AddObject(ObjectId(ds.bar, i)).ok());
     ASSERT_TRUE(db.AddObject(ObjectId(ds.beer, i)).ok());
@@ -266,8 +266,18 @@ TEST(SetOrientedUpdateFormsTest, CopyingFormAndAnalyzeRunTheStatement) {
                            ObjectId(ds.beer, (5 * d + 1) % kBars))
                     .ok());
   }
-  const ExprPtr query = ra::Project(
-      ra::JoinEq(ra::Rel("Dl"), ra::Rel("Bas"), "l", "s"), {"D", "Ba"});
+}
+
+ExprPtr ServiceUpdateQuery() {
+  return ra::Project(ra::JoinEq(ra::Rel("Dl"), ra::Rel("Bas"), "l", "s"),
+                     {"D", "Ba"});
+}
+
+TEST(SetOrientedUpdateFormsTest, CopyingFormAndAnalyzeRunTheStatement) {
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  Instance db(&ds.schema);
+  ASSERT_NO_FATAL_FAILURE(BuildServiceTenant(ds, db));
+  const ExprPtr query = ServiceUpdateQuery();
 
   Instance in_place = db;
   MetricsRegistry statement_metrics;
@@ -294,6 +304,45 @@ TEST(SetOrientedUpdateFormsTest, CopyingFormAndAnalyzeRunTheStatement) {
   EXPECT_EQ(apply.actual_rows, kDrinkers);
   // ANALYZE charges exactly what the statement charges: phase one's
   // evaluation and nothing sequential.
+  EXPECT_EQ(plan.counters, LogicalCounters(statement_metrics));
+}
+
+TEST(SetOrientedUpdateFormsTest, AnalyzeTakesPhaseOneFromTheViewCache) {
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  Instance db(&ds.schema);
+  ASSERT_NO_FATAL_FAILURE(BuildServiceTenant(ds, db));
+  const ExprPtr query = ServiceUpdateQuery();
+  // Two identically primed caches, each with the receiver view already
+  // materialized, as on a server tenant after its first update.
+  ViewCache analyze_cache(&ds.schema);
+  ViewCache statement_cache(&ds.schema);
+  for (ViewCache* cache : {&analyze_cache, &statement_cache}) {
+    ASSERT_TRUE(cache->Prime(db).ok());
+    ASSERT_TRUE(cache->Query(query).ok());
+  }
+  const std::uint64_t epoch = analyze_cache.epoch();
+
+  const std::string before = InstanceToText(db);
+  const ExplainPlan plan =
+      std::move(ExplainSetOrientedUpdate(db, ds.frequents, query,
+                                         /*analyze=*/true,
+                                         {.view_cache = &analyze_cache}))
+          .value();
+  EXPECT_EQ(InstanceToText(db), before);
+  EXPECT_EQ(analyze_cache.epoch(), epoch);  // ANALYZE publishes nothing
+  ASSERT_EQ(plan.roots.size(), 2u);
+  const PlanNode& phase1 = plan.roots[0];
+  EXPECT_TRUE(phase1.analyzed);
+  EXPECT_EQ(phase1.actual_rows, kDrinkers);
+  EXPECT_TRUE(phase1.children.empty());
+  EXPECT_NE(phase1.detail.find("view cache"), std::string::npos);
+
+  Instance in_place = db;
+  MetricsRegistry statement_metrics;
+  ASSERT_TRUE(SetOrientedUpdateInPlace(in_place, ds.frequents, query,
+                                       {.metrics = &statement_metrics,
+                                        .view_cache = &statement_cache})
+                  .ok());
   EXPECT_EQ(plan.counters, LogicalCounters(statement_metrics));
 }
 
