@@ -519,11 +519,6 @@ Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
       }
     }
   }
-  if (options.view_cache != nullptr) {
-    // Advisory publication: the cache fails closed on its own when it
-    // cannot absorb a delta, so errors here do not fail the apply.
-    (void)options.view_cache->ApplyDelta(DiffInstances(instance, out));
-  }
   return out;
 }
 

@@ -80,8 +80,7 @@ Result<ExprPtr> ParTransform(const ExprPtr& expr, const MethodContext& context);
 /// the self-slices of their receivers: results and logical counters are
 /// independent of the worker count, which the determinism tests pin down
 /// bit-for-bit. Edge replacements are merged in canonical receiver order on
-/// the calling thread. On success the delta is published to
-/// options.view_cache, if any.
+/// the calling thread.
 Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
                                const Instance& instance,
                                std::span<const Receiver> receivers,

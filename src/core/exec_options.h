@@ -3,55 +3,27 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "core/exec_backend.h"
 #include "core/exec_context.h"
-#include "core/status.h"
 
 namespace setrec {
 
-class Instance;
 class ThreadPool;
 class ViewCache;
-struct InstanceDelta;
-
-/// Receiver of committed instance deltas. This is the layering seam between
-/// the governed entry points (which live in the core and cannot link the
-/// incremental library) and `ViewCache` (incremental/view_cache.h), which
-/// implements it: call sites publish through the abstract interface, while
-/// layers that need the concrete cache (the SQL engine's receiver-view
-/// path) recover it via AsViewCache() without RTTI.
-class DeltaSink {
- public:
-  virtual ~DeltaSink() = default;
-
-  /// Absorbs one committed delta. Publication happens *after* the mutation
-  /// it describes durably succeeded; a sink that cannot absorb it must fail
-  /// closed (stop serving reads) rather than serve stale state as fresh.
-  virtual Status ApplyDelta(const InstanceDelta& delta) = 0;
-
-  /// The concrete incremental view cache, when this sink is one.
-  virtual ViewCache* AsViewCache() { return nullptr; }
-};
-
-/// A commit hook for mutating statements: invoked exactly once, after the
-/// statement's in-memory application succeeded, with the pre- and
-/// post-statement states. Returning non-OK *vetoes* the commit — the
-/// statement restores the pre-state snapshot and propagates the hook's
-/// error. This is the durability layer's interposition point (see
-/// store/durable_store.h). An empty hook commits unconditionally.
-using CommitHook =
-    std::function<Status(const Instance& before, const Instance& after)>;
 
 /// The one options struct every governed entry point accepts. It bundles
-/// the execution concerns (context, commit hook, worker count and pool,
-/// backend, observability sinks) that would otherwise accrete one by one on
-/// each signature, so adding an execution concern never changes an API
+/// the execution concerns (context, worker count and pool, backend,
+/// observability sinks, view cache) that would otherwise accrete one by one
+/// on each signature, so adding an execution concern never changes an API
 /// again. All fields are optional; a default-constructed ExecOptions means
-/// "permissive, unobserved, single-threaded, commit unconditionally" —
-/// exactly the old default-argument behavior.
+/// "permissive, unobserved, single-threaded, evaluated from scratch".
+///
+/// No entry point logs or publishes: a mutating entry point only edits (or
+/// returns an edited copy of) the instance it is given. Logging a committed
+/// delta and publishing it to a view cache belong to the durable store
+/// (store/durable_store.h).
 ///
 /// Everything here is borrowed, not owned; the referents must outlive the
 /// call.
@@ -94,17 +66,14 @@ struct ExecOptions {
   /// backend-invariant, so this is a pure performance knob.
   ExecBackend backend = ExecBackend::kAuto;
 
-  /// Commit interposition for the in-place SQL statements; ignored by
-  /// read-only entry points.
-  CommitHook commit_hook = nullptr;
-
-  /// Incremental view cache (or any delta sink) to keep in sync with the
-  /// call's effects. Mutating entry points publish the committed delta to
-  /// it after they succeed; the SQL engine's set-oriented update also
-  /// derives its receiver set through the cache (falling back to
-  /// from-scratch evaluation on any cache miss or error). Null = no
-  /// incremental maintenance — the old behavior.
-  DeltaSink* view_cache = nullptr;
+  /// Incremental view cache (incremental/view_cache.h) that reads may be
+  /// served from; only read, never fed. The set-oriented UPDATE's phase one
+  /// and EXPLAIN ANALYZE of a query or an UPDATE take their answer from it
+  /// when it can serve the expression, falling back to from-scratch
+  /// evaluation on any cache error except a governance stop. The caller
+  /// keeps it current with the instance — the durable store publishes each
+  /// committed delta to its own cache. Null = always from scratch.
+  ViewCache* view_cache = nullptr;
 };
 
 /// Resolves ExecOptions to a concrete ExecContext for the duration of one

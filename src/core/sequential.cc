@@ -151,15 +151,7 @@ Result<Instance> SequentialApply(const UpdateMethod& method,
           "M_seq is ill-defined");
     }
   }
-  SETREC_ASSIGN_OR_RETURN(Instance result,
-                          ApplySequence(method, instance, set, ctx));
-  if (options.view_cache != nullptr) {
-    // The apply itself succeeded; the cache is advisory and fails closed on
-    // its own when it cannot absorb a delta, so publication errors do not
-    // fail the call.
-    (void)options.view_cache->ApplyDelta(DiffInstances(instance, result));
-  }
-  return result;
+  return ApplySequence(method, instance, set, ctx);
 }
 
 }  // namespace setrec

@@ -73,7 +73,6 @@ Result<OrderIndependenceOutcome> PairwiseOrderIndependentOn(
 /// (here: sorted) enumeration of T under the options' context. When
 /// `verify_order_independence` is set, first runs the exhaustive test and
 /// fails with FailedPrecondition if M is not order independent on (I, T).
-/// On success the delta is published to options.view_cache, if any.
 Result<Instance> SequentialApply(const UpdateMethod& method,
                                  const Instance& instance,
                                  std::span<const Receiver> receivers,

@@ -264,8 +264,8 @@ Status ViewCache::ApplyDelta(const InstanceDelta& delta) {
   }
 
   // Normalize against the mirror while applying: adds of present tuples and
-  // removes of absent ones drop out, which is what makes a double-fed delta
-  // (e.g. published by both a store hook and a txn layer) a no-op.
+  // removes of absent ones drop out, which is what makes a re-fed delta a
+  // no-op.
   PendingEntry entry;
   // Redo order: remove edges, remove objects, add objects, add edges —
   // matching ApplyDelta on instances.

@@ -11,7 +11,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/exec_options.h"
+#include "core/exec_context.h"
 #include "core/instance.h"
 #include "core/receiver.h"
 #include "core/schema.h"
@@ -64,13 +64,18 @@ struct ViewCacheOptions {
 /// differential-testing oracle). Fed deltas must be *closed* the way
 /// `DiffInstances` produces them: an object removal is accompanied by
 /// removals of its incident edges. Deltas are normalized against the
-/// mirror, so re-feeding an already-absorbed delta is a harmless no-op —
-/// double publication from stacked commit paths cannot corrupt a view.
+/// mirror, so re-feeding an already-absorbed delta is a harmless no-op.
+///
+/// Feeding: a cache attached to a DurableStore
+/// (DurableStoreOptions::view_cache) is fed by the store alone, once per
+/// committed statement, after the covering fsync. Engine entry points only
+/// read a cache (ExecOptions::view_cache); a caller that mutates an
+/// instance outside a store feeds its cache `DiffInstances` itself.
 ///
 /// Thread safety: all public methods are safe to call concurrently (one
 /// internal mutex). Returned relations are immutable snapshots: a refresh
 /// never mutates a relation a previous Read() handed out (copy-on-write).
-class ViewCache : public DeltaSink {
+class ViewCache {
  public:
   /// Implementation detail (a registered view's plan plus per-node
   /// maintenance state), defined in the .cc; public only so file-local
@@ -114,9 +119,7 @@ class ViewCache : public DeltaSink {
   /// normalization cancels) un-primes the cache — reads then fail with
   /// kFailedPrecondition until the next Prime() — rather than risk serving
   /// views that have silently diverged from the authoritative instance.
-  Status ApplyDelta(const InstanceDelta& delta) override;
-
-  ViewCache* AsViewCache() override { return this; }
+  Status ApplyDelta(const InstanceDelta& delta);
 
   /// Registers `expr` as a materialized view under `name`. Validates the
   /// expression against the encoded catalog (unknown relations or scheme

@@ -623,19 +623,16 @@ Response Server::HandleUpdate(
 
   const ExprPtr& receiver_query = *query;
   const PropertyId prop = *property;
-  Status committed = tenant.store->Commit(
-      [&](Instance& instance, ExecContext& ctx,
-          const CommitHook& hook) -> Status {
+  Status committed = tenant.store->Mutate(
+      [&](Instance& instance, ExecContext& ctx) -> Status {
         // Fan-outs forked from this context must stay in the request's
         // family even on pool threads where no context is installed.
         if (trace.active()) ctx.set_trace_id(trace.trace_id);
         // The cache serves phase one (receiver set) when present; the
-        // store's own hook publication keeps it in lockstep afterwards.
+        // store publishes the committed delta to it afterwards.
         return SetOrientedUpdateInPlace(
             instance, prop, receiver_query,
-            ExecOptions{.ctx = &ctx,
-                        .commit_hook = hook,
-                        .view_cache = tenant.view_cache.get()});
+            ExecOptions{.ctx = &ctx, .view_cache = tenant.view_cache.get()});
       },
       RequestLimits(tenant, deadline));
   if (!committed.ok()) return ErrorResponse(committed);
@@ -657,19 +654,11 @@ Response Server::HandleDelta(Tenant& tenant, const Request& request,
       ParseDelta(request.body, options_.schema);
   if (!delta.ok()) return ErrorResponse(delta.status());
   const InstanceDelta& parsed = *delta;
-  Status committed = tenant.store->Commit(
-      [&](Instance& instance, ExecContext& ctx,
-          const CommitHook& hook) -> Status {
+  Status committed = tenant.store->Mutate(
+      [&](Instance& instance, ExecContext& ctx) -> Status {
         if (trace.active()) ctx.set_trace_id(trace.trace_id);
         SETREC_RETURN_IF_ERROR(ctx.CheckPoint("net/apply-delta"));
-        Instance before = instance;
-        Status applied = ApplyDelta(instance, parsed);
-        if (applied.ok()) applied = hook(before, instance);
-        if (!applied.ok()) {
-          instance = std::move(before);
-          return applied;
-        }
-        return Status::OK();
+        return ApplyDelta(instance, parsed);
       },
       RequestLimits(tenant, deadline));
   if (!committed.ok()) return ErrorResponse(committed);
@@ -895,8 +884,8 @@ void Server::CaptureSlowRequest(Tenant& tenant, const Request& request,
       return Status::FailedPrecondition("no local store");
     }
     ExecContext ctx(tenant.config.store_options.limits);
-    // The tenant's view cache serves phase one of an update's plan the way
-    // it served the update itself.
+    // The tenant's view cache serves a query's read and an update's phase
+    // one the way it served the request itself.
     const ExecOptions exec{.ctx = &ctx,
                            .view_cache = tenant.view_cache.get()};
     std::uint64_t sequence = 0;

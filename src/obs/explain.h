@@ -84,7 +84,11 @@ std::map<std::string, std::uint64_t> LogicalCounters(
 Result<ExplainPlan> ExplainExpression(const ExprPtr& expr,
                                       const Catalog& catalog);
 
-/// EXPLAIN ANALYZE: evaluates `expr` against `database` under the options'
+/// EXPLAIN ANALYZE: takes the read the way the server's query path does.
+/// When options.view_cache can serve `expr` (a governance stop propagates;
+/// any other cache error falls back), the plan is one ViewRead node with
+/// the read's rows and wall time and no operator children — no operator
+/// ran. Otherwise evaluates `expr` against `database` under the options'
 /// sinks and annotates every operator with actual rows, join build/probe
 /// counts, memo hits and wall time. When the effective context has no
 /// metrics registry, a private one is used, so `counters` is always
@@ -97,14 +101,14 @@ Result<ExplainPlan> ExplainExpressionAnalyze(const ExprPtr& expr,
 /// two-phase pipeline — the receiver query evaluated against the
 /// pre-statement state, then the key-order independent `a := arg1`
 /// application. ANALYZE takes phase one the way SetOrientedUpdateInPlace
-/// does: from options.view_cache when it is a ViewCache that can serve the
-/// query (a governance stop propagates; any other cache error falls back),
-/// rendered as a cache read with its rows and wall time and no operator
-/// children; otherwise with a statistics-collecting evaluator. It then runs
+/// does: from options.view_cache when it can serve the query (a governance
+/// stop propagates; any other cache error falls back), rendered as a cache
+/// read with its rows and wall time and no operator children; otherwise
+/// with a statistics-collecting evaluator. It then runs
 /// the statement's own phase two (ApplyAssignToKeySet, sql/engine.h) on a
-/// scratch copy, publishing nothing to the cache; `instance` is never
-/// mutated, and the counters equal those SetOrientedUpdateInPlace charges on
-/// the same input and an identically primed cache.
+/// scratch copy; `instance` is never mutated, and the counters equal those
+/// SetOrientedUpdateInPlace charges on the same input and an identically
+/// primed cache.
 Result<ExplainPlan> ExplainSetOrientedUpdate(const Instance& instance,
                                              PropertyId property,
                                              const ExprPtr& receiver_query,

@@ -11,29 +11,13 @@ namespace setrec {
 namespace {
 
 /// The all-or-nothing tail every set-oriented statement shares: `mutate`
-/// edits `instance` in place, then options.commit_hook (part of the
-/// statement: a veto, e.g. a WAL write failure, unwinds exactly like an
-/// in-memory fault) sees the pre- and post-statement states. Any failure
-/// restores the snapshot; a commit publishes its delta to
-/// options.view_cache.
+/// edits `instance` in place; any failure restores the snapshot.
 template <typename Mutate>
-Status CommitAllOrNothing(Instance& instance, const ExecOptions& options,
-                          Mutate mutate) {
+Status AllOrNothing(Instance& instance, Mutate mutate) {
   Instance snapshot = instance;
   Status applied = mutate();
-  if (applied.ok() && options.commit_hook) {
-    applied = options.commit_hook(snapshot, instance);
-  }
-  if (!applied.ok()) {
-    instance = std::move(snapshot);
-    return applied;
-  }
-  if (options.view_cache != nullptr) {
-    // Post-commit, advisory: the sink fails closed on its own when it
-    // cannot absorb the delta.
-    (void)options.view_cache->ApplyDelta(DiffInstances(snapshot, instance));
-  }
-  return Status::OK();
+  if (!applied.ok()) instance = std::move(snapshot);
+  return applied;
 }
 
 }  // namespace
@@ -79,10 +63,8 @@ Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
     SETREC_ASSIGN_OR_RETURN(bool d, pred(instance, row));
     if (d) doomed.push_back(row);
   }
-  // Phase two: remove them all together, all-or-nothing. Deletes have no
-  // receiver-query phase to serve from the view cache, but their effects
-  // still reach it, or dependent views go permanently stale.
-  return CommitAllOrNothing(instance, options, [&]() -> Status {
+  // Phase two: remove them all together, all-or-nothing.
+  return AllOrNothing(instance, [&]() -> Status {
     for (ObjectId row : doomed) {
       SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sql/delete/row"));
       SETREC_RETURN_IF_ERROR(instance.RemoveObject(row));
@@ -204,19 +186,15 @@ Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
                                                           instance, signature,
                                                           ctx));
   }
-  ExecOptions phase_two = options;
-  phase_two.ctx = &ctx;
-  return ApplyAssignToKeySet(instance, property, *receivers, phase_two);
+  return ApplyAssignToKeySet(instance, property, *receivers, {.ctx = &ctx});
 }
 
 Result<std::optional<std::vector<Receiver>>> CachedReceivers(
-    DeltaSink* view_cache, const ExprPtr& receiver_query,
+    ViewCache* view_cache, const ExprPtr& receiver_query,
     const MethodSignature& signature, ExecContext& ctx) {
-  ViewCache* cache =
-      view_cache != nullptr ? view_cache->AsViewCache() : nullptr;
-  if (cache == nullptr) return std::optional<std::vector<Receiver>>();
+  if (view_cache == nullptr) return std::optional<std::vector<Receiver>>();
   Result<std::vector<Receiver>> cached =
-      ReceiversFromView(*cache, receiver_query, signature, &ctx);
+      ReceiversFromView(*view_cache, receiver_query, signature, &ctx);
   if (cached.ok()) {
     return std::optional<std::vector<Receiver>>(std::move(cached).value());
   }
@@ -238,7 +216,7 @@ Status ApplyAssignToKeySet(Instance& instance, PropertyId property,
   ExecContext& ctx = scope.ctx();
   // On a key set, "a := arg1" amounts to replacing each receiving row's
   // a-edges by the single queried target.
-  return CommitAllOrNothing(instance, options, [&]() -> Status {
+  return AllOrNothing(instance, [&]() -> Status {
     for (const Receiver& t : receivers) {
       SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sql/update/receiver"));
       if (!t.IsValidOver(signature, instance)) {

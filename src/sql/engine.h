@@ -37,11 +37,11 @@ Result<Instance> SetOrientedDelete(const Instance& instance, ClassId cls,
 
 /// In-place set-oriented DELETE with all-or-nothing semantics: snapshots the
 /// instance, removes the doomed rows incrementally, and restores the
-/// snapshot on ANY failure (governance, injected fault, a commit-hook veto,
-/// or structural error), so a failed statement leaves `instance`
-/// bit-identical to its pre-statement state. The options carry the context,
-/// the observability sinks, the commit hook and the view cache, which is
-/// sent the committed delta after the caller's hook accepted it.
+/// snapshot on ANY failure (governance, injected fault, or structural
+/// error), so a failed statement leaves `instance` bit-identical to its
+/// pre-statement state. The options carry the context and the
+/// observability sinks; logging the delta and publishing it to a view cache
+/// are the caller's (DurableStore::Delete does both).
 Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
                                 const RowPredicate& pred,
                                 const ExecOptions& options = {});
@@ -99,26 +99,27 @@ Result<Instance> SetOrientedUpdate(const Instance& instance,
 
 /// In-place set-oriented UPDATE with all-or-nothing semantics. Phase one
 /// computes the receiver key set against the input state: from
-/// options.view_cache when it is a ViewCache (incrementally maintained; any
+/// options.view_cache when one is given (incrementally maintained; any
 /// cache error except a governance stop falls back to from-scratch
 /// evaluation — see incremental/view_cache.h), from scratch otherwise.
-/// Phase two is ApplyAssignToKeySet under the same options. On ANY failure —
-/// a governance stop, an injected fault at any probe point, a commit-hook
-/// veto, or a structural error — `instance` is bit-identical to its
-/// pre-statement state.
+/// Phase two is ApplyAssignToKeySet under the same context. On ANY failure —
+/// a governance stop, an injected fault at any probe point, or a structural
+/// error — `instance` is bit-identical to its pre-statement state. The
+/// statement only reads options.view_cache; the caller feeds it the
+/// committed delta (DurableStore does, after logging it).
 Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
                                 const ExprPtr& receiver_query,
                                 const ExecOptions& options = {});
 
 /// Phase one's cache read, shared by SetOrientedUpdateInPlace and EXPLAIN
 /// ANALYZE of the statement: the receivers of `receiver_query` from
-/// `view_cache` when it is a ViewCache. nullopt when it is not, or when the
-/// cache cannot serve the query (unprimed, unsupported expression, a
+/// `view_cache`. nullopt when there is none, or when the cache cannot serve
+/// the query (unprimed, unsupported expression, a
 /// receiver-shape mismatch); the caller then evaluates from scratch. A
 /// governance stop is not a cache miss and propagates: the answer was not
 /// computed, and a from-scratch retry would blow the same budget.
 Result<std::optional<std::vector<Receiver>>> CachedReceivers(
-    DeltaSink* view_cache, const ExprPtr& receiver_query,
+    ViewCache* view_cache, const ExprPtr& receiver_query,
     const MethodSignature& signature, ExecContext& ctx);
 
 /// Phase two of the set-oriented UPDATE, the one the statement, its copying
@@ -126,10 +127,8 @@ Result<std::optional<std::vector<Receiver>>> CachedReceivers(
 /// type AssignArgSignature(property). Fails with FailedPrecondition before
 /// any mutation unless `receivers` is a key set. Because it is one, the
 /// update replaces each receiving row's a-edges by the single queried
-/// target, row by row, after snapshotting the instance; on any failure
-/// (including a veto by options.commit_hook, which sees the pre- and
-/// post-statement states) the snapshot is restored. After a successful
-/// commit the delta is published to options.view_cache, if any.
+/// target, row by row, after snapshotting the instance; on any failure the
+/// snapshot is restored.
 Status ApplyAssignToKeySet(Instance& instance, PropertyId property,
                            std::span<const Receiver> receivers,
                            const ExecOptions& options = {});

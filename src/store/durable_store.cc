@@ -199,42 +199,49 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
   return store;
 }
 
-Status DurableStore::Commit(const Statement& statement) {
+Status DurableStore::Mutate(const Statement& statement) {
   std::lock_guard<std::mutex> lock(mu_);
-  return CommitLocked(statement);
+  return CommitLocked(statement, options_.limits);
 }
 
-Status DurableStore::Commit(const Statement& statement,
+Status DurableStore::Mutate(const Statement& statement,
                             const ExecContext::Limits& limits) {
   std::lock_guard<std::mutex> lock(mu_);
-  return CommitLocked(statement, &limits);
+  return CommitLocked(statement, limits);
+}
+
+Result<InstanceDelta> DurableStore::StageLocked(
+    const Statement& statement, const ExecContext::Limits& limits,
+    Instance& before) {
+  ExecContext ctx(limits);
+  if (options_.injector != nullptr) {
+    ctx.set_fault_injector(options_.injector);
+  }
+  ctx.set_tracer(options_.tracer);
+  ctx.set_metrics(options_.metrics);
+  ctx.set_recorder(options_.recorder);
+  before = instance_;
+  Status status = statement(instance_, ctx);
+  InstanceDelta delta;
+  if (status.ok()) {
+    delta = DiffInstances(before, instance_);
+    if (!delta.empty()) {  // a no-op statement leaves no record
+      status = wal_.Append(DeltaToText(delta, *schema_)).status();
+    }
+  }
+  if (!status.ok()) {
+    instance_ = std::move(before);
+    return status;
+  }
+  return delta;
 }
 
 Status DurableStore::CommitLocked(const Statement& statement,
-                                  const ExecContext::Limits* limits) {
+                                  const ExecContext::Limits& limits) {
   if (wal_.broken()) {
     return Status::FailedPrecondition(
         "store hit a storage fault; reopen to recover");
   }
-  const CommitHook hook = [this](const Instance& before,
-                                 const Instance& after) -> Status {
-    const InstanceDelta delta = DiffInstances(before, after);
-    if (delta.empty()) return Status::OK();  // no-op statement, no record
-    SETREC_RETURN_IF_ERROR(
-        wal_.Append(DeltaToText(delta, *schema_)).status());
-    {
-      // The durability point itself: traced so a slow disk is visible as a
-      // wal/fsync span inside the request's timeline.
-      TraceSpan fsync_span(options_.tracer, "wal/fsync");
-      SETREC_RETURN_IF_ERROR(wal_.Sync());
-    }
-    // Durable as of the fsync above; only now may a view see it. Advisory:
-    // a cache that cannot absorb the delta fails closed on its own.
-    if (options_.view_cache != nullptr) {
-      (void)options_.view_cache->ApplyDelta(delta);
-    }
-    return Status::OK();
-  };
   TraceSpan commit_span(options_.tracer, "store/commit");
   if (options_.recorder != nullptr) {
     options_.recorder->Record(FlightRecorder::EventKind::kNote,
@@ -242,24 +249,42 @@ Status DurableStore::CommitLocked(const Statement& statement,
   }
   const auto commit_start = std::chrono::steady_clock::now();
   RetrySchedule schedule(options_.retry);
+  Instance before(schema_);
+  InstanceDelta delta;
   for (;;) {
-    ExecContext ctx(limits != nullptr ? *limits : options_.limits);
-    if (options_.injector != nullptr) {
-      ctx.set_fault_injector(options_.injector);
+    Result<InstanceDelta> staged = StageLocked(statement, limits, before);
+    if (staged.ok()) {
+      delta = std::move(staged).value();
+      break;
     }
-    ctx.set_tracer(options_.tracer);
-    ctx.set_metrics(options_.metrics);
-    ctx.set_recorder(options_.recorder);
-    Status status = statement(instance_, ctx, hook);
-    if (status.ok()) break;
     // A storage fault is a simulated crash: never retried, store poisoned.
-    if (wal_.broken()) return DumpTerminalFailure("storage fault", status);
-    if (!schedule.ShouldRetry(status)) {
-      return DumpTerminalFailure("statement failed", status);
+    if (wal_.broken()) {
+      return DumpTerminalFailure("storage fault", staged.status());
+    }
+    if (!schedule.ShouldRetry(staged.status())) {
+      return DumpTerminalFailure("statement failed", staged.status());
     }
     const std::chrono::nanoseconds delay = schedule.NextDelay();
     if (delay > std::chrono::nanoseconds::zero()) {
       std::this_thread::sleep_for(delay);
+    }
+  }
+  if (!delta.empty()) {
+    Status synced;
+    {
+      // The durability point itself: traced so a slow disk is visible as a
+      // wal/fsync span inside the request's timeline.
+      TraceSpan fsync_span(options_.tracer, "wal/fsync");
+      synced = wal_.Sync();
+    }
+    if (!synced.ok()) {
+      instance_ = std::move(before);
+      return DumpTerminalFailure("storage fault", synced);
+    }
+    // Durable as of the fsync above; only now may a view see it. Advisory:
+    // a cache that cannot absorb the delta fails closed on its own.
+    if (options_.view_cache != nullptr) {
+      (void)options_.view_cache->ApplyDelta(delta);
     }
   }
   if (options_.metrics != nullptr) {
@@ -300,37 +325,23 @@ Status DurableStore::CommitBatch(std::span<const Statement> statements,
   // Rollback point for the crash case: a storage fault voids the whole
   // batch, so the in-memory state must return to before the first statement.
   const Instance before_batch = instance_;
-  // Append-only hook: the fsync is hoisted out of the loop below. Deltas
-  // are staged, not published — nothing in the batch is durable until the
-  // single covering fsync succeeds.
+  // Deltas are staged, not published: nothing in the batch is durable until
+  // the single covering fsync below succeeds.
   std::vector<InstanceDelta> staged_deltas;
-  const CommitHook hook = [this, &staged_deltas](
-                              const Instance& before,
-                              const Instance& after) -> Status {
-    InstanceDelta delta = DiffInstances(before, after);
-    if (delta.empty()) return Status::OK();  // no-op statement, no record
-    SETREC_RETURN_IF_ERROR(
-        wal_.Append(DeltaToText(delta, *schema_)).status());
-    staged_deltas.push_back(std::move(delta));
-    return Status::OK();
-  };
+  Instance before(schema_);
   std::uint64_t committed = 0;
   for (std::size_t i = 0; i < statements.size(); ++i) {
-    ExecContext ctx(options_.limits);
-    if (options_.injector != nullptr) {
-      ctx.set_fault_injector(options_.injector);
-    }
-    ctx.set_tracer(options_.tracer);
-    ctx.set_metrics(options_.metrics);
-    ctx.set_recorder(options_.recorder);
-    res[i] = statements[i](instance_, ctx, hook);
-    if (res[i].ok()) {
+    Result<InstanceDelta> staged =
+        StageLocked(statements[i], options_.limits, before);
+    if (staged.ok()) {
       ++committed;
-    } else if (wal_.broken()) {
-      break;  // torn append = crash: handled below
+      if (!staged->empty()) staged_deltas.push_back(std::move(staged).value());
+    } else {
+      res[i] = staged.status();
+      if (wal_.broken()) break;  // torn append = crash: handled below
     }
-    // Non-storage failure: the statement contract restored its own
-    // pre-state; its batch mates are unaffected.
+    // Non-storage failure: the step restored the pre-statement state; its
+    // batch mates are unaffected.
   }
   if (!wal_.broken() && committed != 0) {
     // One fsync covers every record appended above; only now is any
@@ -384,58 +395,32 @@ Status DurableStore::DumpTerminalFailure(const char* what,
 
 Status DurableStore::Update(PropertyId property,
                             const ExprPtr& receiver_query) {
-  return Commit([&](Instance& instance, ExecContext& ctx,
-                    const CommitHook& commit) {
-    return SetOrientedUpdateInPlace(
-        instance, property, receiver_query,
-        ExecOptions{.ctx = &ctx, .commit_hook = commit});
+  return Mutate([&](Instance& instance, ExecContext& ctx) {
+    return SetOrientedUpdateInPlace(instance, property, receiver_query,
+                                    {.ctx = &ctx});
   });
 }
 
 Status DurableStore::Delete(ClassId cls, const RowPredicate& pred) {
-  return Commit(
-      [&](Instance& instance, ExecContext& ctx, const CommitHook& commit) {
-        return SetOrientedDeleteInPlace(
-            instance, cls, pred,
-            ExecOptions{.ctx = &ctx, .commit_hook = commit});
-      });
+  return Mutate([&](Instance& instance, ExecContext& ctx) {
+    return SetOrientedDeleteInPlace(instance, cls, pred, {.ctx = &ctx});
+  });
 }
 
 Status DurableStore::ApplyCursorUpdate(const AlgebraicUpdateMethod& method,
                                        std::span<const Receiver> order) {
-  return Commit([&](Instance& instance, ExecContext& ctx,
-                    const CommitHook& commit) -> Status {
-    SETREC_ASSIGN_OR_RETURN(Instance after,
+  return Mutate([&](Instance& instance, ExecContext& ctx) -> Status {
+    SETREC_ASSIGN_OR_RETURN(instance,
                             CursorUpdate(method, instance, order, ctx));
-    SETREC_RETURN_IF_ERROR(commit(instance, after));
-    instance = std::move(after);
     return Status::OK();
   });
 }
 
 Status DurableStore::ApplyCursorDelete(ClassId cls, const RowPredicate& pred,
                                        std::span<const ObjectId> order) {
-  return Commit([&](Instance& instance, ExecContext& ctx,
-                    const CommitHook& commit) -> Status {
-    SETREC_ASSIGN_OR_RETURN(Instance after,
+  return Mutate([&](Instance& instance, ExecContext& ctx) -> Status {
+    SETREC_ASSIGN_OR_RETURN(instance,
                             CursorDelete(instance, cls, pred, order, ctx));
-    SETREC_RETURN_IF_ERROR(commit(instance, after));
-    instance = std::move(after);
-    return Status::OK();
-  });
-}
-
-Status DurableStore::Mutate(
-    const std::function<Status(Instance&, ExecContext&)>& body) {
-  return Commit([&](Instance& instance, ExecContext& ctx,
-                    const CommitHook& commit) -> Status {
-    Instance before = instance;
-    Status status = body(instance, ctx);
-    if (status.ok()) status = commit(before, instance);
-    if (!status.ok()) {
-      instance = std::move(before);
-      return status;
-    }
     return Status::OK();
   });
 }

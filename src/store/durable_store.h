@@ -86,36 +86,36 @@ struct DurableStoreOptions {
   ViewCache* view_cache = nullptr;
 };
 
-/// A crash-consistent wrapper around Instance: every committed SQL-engine
-/// statement is persisted as a checksummed WAL record (the statement's
-/// canonical InstanceDelta in text form) before it is acknowledged, and
-/// periodic snapshots bound replay time. Open() recovers the newest valid
-/// snapshot plus the longest valid WAL prefix, tolerating a torn tail.
+/// A crash-consistent wrapper around Instance: every committed statement is
+/// persisted as a checksummed WAL record (the statement's canonical
+/// InstanceDelta in text form) before it is acknowledged, and periodic
+/// snapshots bound replay time. Open() recovers the newest valid snapshot
+/// plus the longest valid WAL prefix, tolerating a torn tail.
 ///
-/// Commit protocol (per statement):
-///   1. run the statement in memory — the engine's all-or-nothing snapshot
-///      semantics apply, governed by a fresh ExecContext per attempt;
-///   2. through the engine's CommitHook, append diff(before, after) to the
-///      WAL and fsync — only then is the commit acknowledged;
-///   3. a hook failure (torn write, failed fsync) vetoes the statement: the
-///      in-memory state rolls back to the pre-statement instance and the
-///      store refuses further commits until reopened, exactly as if the
-///      process had died at the fault.
-/// Retryable governance failures (kResourceExhausted, kDeadlineExceeded) are
-/// retried per the RetryPolicy with deterministic backoff; semantic errors,
-/// cancellation, and storage faults are not.
+/// The store owns the whole commit protocol; a statement only mutates.
+/// Per statement:
+///   1. under a fresh governed ExecContext, snapshot the instance and run
+///      the statement body on it;
+///   2. log DiffInstances(snapshot, instance) to the WAL (nothing for a
+///      no-op statement), fsync, and only then acknowledge;
+///   3. publish the same delta to the store's view cache, if any — the
+///      only place a committed delta is published.
+/// Any failure — of the body, the append or the fsync — restores the
+/// snapshot. A storage fault (torn write, failed fsync) also poisons the
+/// store: it refuses further commits until reopened, exactly as if the
+/// process had died at the fault. Retryable governance failures
+/// (kResourceExhausted, kDeadlineExceeded) are retried per the RetryPolicy
+/// with deterministic backoff; semantic errors, cancellation, and storage
+/// faults are not.
 ///
 /// All public methods are serialized by an internal mutex, so a background
 /// thread may call Checkpoint() while another commits (the FaultInjector's
 /// atomic counters make a shared injector safe too).
 class DurableStore {
  public:
-  /// A statement body: mutate the instance under `ctx`, calling `commit`
-  /// exactly once with (before, after) on success, and leaving the instance
-  /// at `before` on any failure. The engine's *InPlace statements have this
-  /// exact shape.
-  using Statement =
-      std::function<Status(Instance&, ExecContext&, const CommitHook&)>;
+  /// A statement body: mutates the instance under `ctx`. It need not restore
+  /// the instance on failure, log, or publish — the store does all three.
+  using Statement = std::function<Status(Instance&, ExecContext&)>;
 
   /// Opens (creating or recovering) the store in directory `dir`. When
   /// `report` is non-null it receives the recovery audit trail.
@@ -143,20 +143,17 @@ class DurableStore {
   Status ApplyCursorDelete(ClassId cls, const RowPredicate& pred,
                            std::span<const ObjectId> order = {});
 
-  /// Arbitrary mutation as one committed statement: `body` edits the
-  /// instance; on any failure the pre-statement state is restored; on
-  /// success the delta is logged and fsynced before Mutate returns OK.
-  Status Mutate(const std::function<Status(Instance&, ExecContext&)>& body);
+  /// Runs `statement` as one committed statement under the store-wide
+  /// `options.limits`: on success its delta is logged and fsynced before
+  /// Mutate returns OK; on any failure the pre-statement state is restored.
+  Status Mutate(const Statement& statement);
 
-  /// Runs a caller-shaped statement through the commit protocol.
-  Status Commit(const Statement& statement);
-
-  /// Commit with a per-statement resource budget overriding the store-wide
+  /// Mutate with a per-statement resource budget overriding the store-wide
   /// `options.limits` for this one statement. This is how a network
   /// request's deadline reaches the ExecContext governing its execution:
   /// the server clamps `limits.deadline` to the request's remaining time and
   /// every engine probe point then enforces it.
-  Status Commit(const Statement& statement, const ExecContext::Limits& limits);
+  Status Mutate(const Statement& statement, const ExecContext::Limits& limits);
 
   /// Group commit: runs the statements in order under one lock acquisition,
   /// appending each statement's delta to the WAL *without* syncing, then
@@ -177,7 +174,9 @@ class DurableStore {
   /// `results` reports the fault — exactly the crash model, where none of
   /// the batch was acknowledged but a prefix of its records may still be
   /// replayed on recovery (statement boundaries are record boundaries, so
-  /// recovery always lands on a statement prefix, never a hybrid).
+  /// recovery always lands on a statement prefix, never a hybrid). Nothing
+  /// is published before the batch fsync; after it, the deltas are
+  /// published in statement order.
   ///
   /// Returns OK when the batch mechanics succeeded (even if individual
   /// statements failed semantically); `results`, when non-null, is resized
@@ -217,9 +216,17 @@ class DurableStore {
                DurableStoreOptions options);
 
   Status CheckpointLocked();
-  /// `limits` overrides options_.limits when non-null (per-request budgets).
+  /// Mutate's retry loop around StageLocked, then fsync and publish.
   Status CommitLocked(const Statement& statement,
-                      const ExecContext::Limits* limits = nullptr);
+                      const ExecContext::Limits& limits);
+  /// The per-statement step Mutate and CommitBatch share: runs `statement`
+  /// on instance_ under a fresh context governed by `limits`, from a
+  /// snapshot taken into `before`, and appends its delta to the WAL
+  /// unsynced. Returns the delta (empty for a no-op, which appends
+  /// nothing); on any failure instance_ is restored from the snapshot.
+  Result<InstanceDelta> StageLocked(const Statement& statement,
+                                    const ExecContext::Limits& limits,
+                                    Instance& before);
 
   /// Records a terminal (non-retried) commit failure and dumps the flight
   /// recorder to <dir>/flight-commit.jsonl; returns `status` unchanged.

@@ -332,19 +332,14 @@ Status TxnManager::AttemptMvcc(
     PendingCommit pending;
     pending.statement = [this, &delta, &footprint, &pending,
                          snapshot_version](Instance& instance,
-                                           ExecContext& ctx,
-                                           const CommitHook& commit)
-        -> Status {
+                                           ExecContext& ctx) -> Status {
       SETREC_RETURN_IF_ERROR(ctx.CheckPoint("txn/validate"));
       if (HasConflict(snapshot_version, footprint)) {
         return Status::TxnConflict(
             "write footprint overlaps a commit after snapshot v" +
             std::to_string(snapshot_version));
       }
-      Instance after = instance;
-      SETREC_RETURN_IF_ERROR(ApplyDelta(after, delta));
-      SETREC_RETURN_IF_ERROR(commit(instance, after));
-      instance = std::move(after);
+      SETREC_RETURN_IF_ERROR(ApplyDelta(instance, delta));
       pending.footprint = footprint;
       batch_footprints_.push_back(footprint);
       return Status::OK();
@@ -385,19 +380,16 @@ Status TxnManager::Apply(const AlgebraicUpdateMethod& method,
     Status result = RunWithRetries("commutative txn", [&]() -> Status {
       PendingCommit pending;
       pending.statement = [this, &method, &receivers, &pending](
-                              Instance& instance, ExecContext& ctx,
-                              const CommitHook& commit) -> Status {
-        ExecOptions opts;
-        opts.ctx = &ctx;
+                              Instance& instance, ExecContext& ctx) -> Status {
         // No snapshot, no validation: certification made the serialization
         // order immaterial, so applying at the commit point is enough.
         SETREC_ASSIGN_OR_RETURN(
-            Instance after, SequentialApply(method, instance, receivers, opts));
-        const InstanceDelta delta = DiffInstances(instance, after);
-        SETREC_RETURN_IF_ERROR(commit(instance, after));
-        instance = std::move(after);
+            Instance after,
+            SequentialApply(method, instance, receivers, {.ctx = &ctx}));
         // MVCC transactions still validate against this commit.
-        pending.footprint = Footprint::FromDelta(delta);
+        pending.footprint =
+            Footprint::FromDelta(DiffInstances(instance, after));
+        instance = std::move(after);
         batch_footprints_.push_back(pending.footprint);
         return Status::OK();
       };

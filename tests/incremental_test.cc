@@ -172,22 +172,9 @@ std::vector<NamedView> MakeTestViews() {
   return v;
 }
 
-/// A DurableStore statement adding one edge, honoring the statement
-/// contract: commit exactly once on success, restore the pre-state on veto.
+/// A DurableStore statement adding one edge.
 DurableStore::Statement AddEdgeStatement(Edge e) {
-  return [e](Instance& instance, ExecContext&,
-             const CommitHook& commit) -> Status {
-    const Instance before = instance;
-    SETREC_RETURN_IF_ERROR(instance.AddEdge(e));
-    if (commit) {
-      const Status hooked = commit(before, instance);
-      if (!hooked.ok()) {
-        instance = before;
-        return hooked;
-      }
-    }
-    return Status::OK();
-  };
+  return [e](Instance& instance, ExecContext&) { return instance.AddEdge(e); };
 }
 
 // -- Fixture -----------------------------------------------------------------
@@ -317,18 +304,20 @@ TEST_F(ViewCacheTest, MethodTrainsAreBitIdenticalAcrossWorkerCounts) {
         ASSERT_TRUE(cache.Register(v.name, v.expr).ok()) << v.name;
       }
       // Same generator seed per run: the receiver draws replay identically
-      // because the instance states they draw from are identical.
+      // because the instance states they draw from are identical. The
+      // applies only compute; the cache is fed each committed delta here,
+      // the way a durable store feeds its own.
       InstanceGenerator gen(&ds_.schema, seed + 101);
       for (int round = 0; round < 3; ++round) {
         ExecOptions options;
         options.num_workers = workers;
-        options.view_cache = &cache;
         const std::vector<Receiver> add_recv =
             gen.RandomKeySet(current, add_bar->signature(), 6);
         Result<Instance> applied = round == 0
                 ? SequentialApply(*add_bar, current, add_recv, options)
                 : ParallelApply(*add_bar, current, add_recv, options);
         ASSERT_TRUE(applied.ok()) << "seed " << seed << " round " << round;
+        ASSERT_TRUE(cache.ApplyDelta(DiffInstances(current, *applied)).ok());
         current = std::move(applied).value();
 
         const std::vector<Receiver> ls_recv =
@@ -336,6 +325,7 @@ TEST_F(ViewCacheTest, MethodTrainsAreBitIdenticalAcrossWorkerCounts) {
         Result<Instance> applied2 =
             ParallelApply(*likes_serves, current, ls_recv, options);
         ASSERT_TRUE(applied2.ok()) << "seed " << seed << " round " << round;
+        ASSERT_TRUE(cache.ApplyDelta(DiffInstances(current, *applied2)).ok());
         current = std::move(applied2).value();
 
         for (const NamedView& v : views) {
@@ -575,8 +565,8 @@ TEST_F(ViewCacheTest, SetOrientedUpdateThroughTheCacheMatchesThePlainPath) {
                                        {.ctx = &plain_ctx})
                   .ok());
 
-  // Cached path: the receiver set comes out of the view cache and the
-  // commit publishes its delta back into it.
+  // Cached path: the receiver set comes out of the view cache, and the
+  // caller feeds the statement's delta back into it.
   Instance cached = start;
   ViewCache cache(&ds_.schema);
   ASSERT_TRUE(cache.Prime(cached).ok());
@@ -585,11 +575,12 @@ TEST_F(ViewCacheTest, SetOrientedUpdateThroughTheCacheMatchesThePlainPath) {
   options.view_cache = &cache;
   ASSERT_TRUE(
       SetOrientedUpdateInPlace(cached, ds_.frequents, query, options).ok());
+  ASSERT_TRUE(cache.ApplyDelta(DiffInstances(start, cached)).ok());
 
   EXPECT_TRUE(plain == cached);
   // The ad-hoc receiver view is now registered alongside the pinned one.
   EXPECT_GE(cache.stats().registered_views, 2u);
-  // The published commit delta reaches dependent views.
+  // The fed delta reaches dependent views.
   auto read = cache.Read("frequents");
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(**read == Oracle(ra::Rel("Df"), cached));
@@ -597,8 +588,10 @@ TEST_F(ViewCacheTest, SetOrientedUpdateThroughTheCacheMatchesThePlainPath) {
   // A second identical update serves its receiver set from the cache (a
   // hit or an incremental refresh — never another cold rebuild of it).
   const std::uint64_t rebuilds_before = cache.stats().rebuilds;
+  const Instance before_second = cached;
   ASSERT_TRUE(
       SetOrientedUpdateInPlace(cached, ds_.frequents, query, options).ok());
+  ASSERT_TRUE(cache.ApplyDelta(DiffInstances(before_second, cached)).ok());
   EXPECT_EQ(cache.stats().rebuilds, rebuilds_before);
   EXPECT_TRUE(plain == cached);  // idempotent update, still in lockstep
 
@@ -613,27 +606,35 @@ TEST_F(ViewCacheTest, SetOrientedUpdateThroughTheCacheMatchesThePlainPath) {
   EXPECT_EQ(from_query, from_view);
 }
 
-TEST_F(ViewCacheTest, SetOrientedDeletePublishesThroughTheCommitHook) {
-  Instance instance = TinyInstance();
+TEST_F(ViewCacheTest, SetOrientedDeletePublishesThroughTheStore) {
   ViewCache cache(&ds_.schema);
-  ASSERT_TRUE(cache.Prime(instance).ok());
   ASSERT_TRUE(cache.Register("frequents", ra::Rel("Df")).ok());
+  DurableStoreOptions options;
+  options.view_cache = &cache;
+  auto store = std::move(DurableStore::Open(MakeTempDir("delete"),
+                                            &ds_.schema, options))
+                   .value();
+  const Instance tiny = TinyInstance();
+  ASSERT_TRUE(store
+                  ->Mutate([&tiny](Instance& inst, ExecContext&) {
+                    inst = tiny;
+                    return Status::OK();
+                  })
+                  .ok());
   ASSERT_TRUE(cache.Read("frequents").ok());
 
   // Delete every bar: the cascade removes the f- and s-edges too, and the
-  // cache must see the whole closed delta through the wrapped hook.
-  ExecOptions options;
-  options.view_cache = &cache;
+  // cache must see the whole closed delta the store committed.
   const RowPredicate all = [](const Instance&, ObjectId) -> Result<bool> {
     return true;
   };
-  ASSERT_TRUE(SetOrientedDeleteInPlace(instance, ds_.bar, all, options).ok());
-  EXPECT_TRUE(instance.objects(ds_.bar).empty());
+  ASSERT_TRUE(store->Delete(ds_.bar, all).ok());
+  EXPECT_TRUE(store->instance().objects(ds_.bar).empty());
 
   auto read = cache.Read("frequents");
   ASSERT_TRUE(read.ok());
   EXPECT_EQ((*read)->size(), 0u);
-  EXPECT_TRUE(**read == Oracle(ra::Rel("Df"), instance));
+  EXPECT_TRUE(**read == Oracle(ra::Rel("Df"), store->instance()));
 }
 
 // -- The crash-during-commit matrix ------------------------------------------

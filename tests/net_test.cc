@@ -1249,6 +1249,66 @@ TEST_F(NetServiceTest, SlowUpdateLogsTheViewCacheServedPhaseOne) {
             std::string::npos);
 }
 
+TEST_F(NetServiceTest, SlowQueryLogsTheViewCacheServedRead) {
+  // The tenant's view cache answered the query, so the plan the slow log
+  // captures must be that read — not a from-scratch operator tree the
+  // request never ran.
+  TenantConfig slow = Tenant("acme");
+  ASSERT_TRUE(slow.incremental_views);
+  slow.slow_request_threshold = std::chrono::nanoseconds(1);
+  const std::string dir = MakeTempDir("srv");
+  auto server = MakeServer(dir, {slow});
+  Client client(ClientOptions(server.get(), "acme"));
+  MustOk(client.ApplyDelta(
+      "delta { add object A(1); add object A(2); add object B(5); }"));
+  MustOk(client.Update("f", "product(A, B)"));
+  Response rows = MustOk(client.Query("Af"));
+  EXPECT_EQ(rows.body, "A(1) B(5)\nA(2) B(5)\n");
+
+  std::ifstream in(std::filesystem::path(dir) / "acme" / "slowlog.jsonl");
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(in, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u);  // the delta, the update and the query
+  const std::string& query = lines[2];
+  EXPECT_NE(query.find("\"op\":\"query\""), std::string::npos);
+  EXPECT_NE(query.find("\"analyzed\":true"), std::string::npos);
+  EXPECT_NE(query.find("\"op\":\"ViewRead\""), std::string::npos) << query;
+  EXPECT_NE(query.find("served by the incremental view cache"),
+            std::string::npos);
+  EXPECT_NE(query.find("\"rows\":2"), std::string::npos) << query;
+  EXPECT_EQ(query.find("\"op\":\"Scan"), std::string::npos) << query;
+}
+
+TEST_F(NetServiceTest, UpdatePublishesItsDeltaOnce) {
+  // The durable store is the only publisher of committed deltas: each
+  // committed request reaches the tenant's view cache exactly once.
+  Tracer tracer;
+  TenantConfig tenant = Tenant("acme");
+  ASSERT_TRUE(tenant.incremental_views);
+  ServerOptions options;
+  options.tracer = &tracer;
+  auto server =
+      MakeServer(MakeTempDir("srv"), {tenant}, std::move(options));
+  Client client(ClientOptions(server.get(), "acme"));
+  const auto publications = [&tracer]() -> std::uint64_t {
+    const auto totals = tracer.StageTotals();
+    const auto it = totals.find("incremental/apply-delta");
+    return it == totals.end() ? 0 : it->second.count;
+  };
+
+  MustOk(client.ApplyDelta(
+      "delta { add object A(1); add object A(2); add object B(5); }"));
+  EXPECT_EQ(publications(), 1u);
+  MustOk(client.Update("f", "product(A, B)"));
+  EXPECT_EQ(publications(), 2u);
+  MustOk(client.ApplyDelta("delta { del object B(5); add object B(6); }"));
+  EXPECT_EQ(publications(), 3u);
+  MustOk(client.Update("f", "product(A, B)"));
+  EXPECT_EQ(publications(), 4u);
+  EXPECT_EQ(MustOk(client.Query("Af")).body, "A(1) B(6)\nA(2) B(6)\n");
+}
+
 TEST_F(NetServiceTest, SpanParentageIsBitStableAcrossEveryFrameFaultMode) {
   // A traced update's family tree — with identical sibling subtrees
   // deduplicated (Tracer::TreeSignatureForTrace) — must be byte-identical

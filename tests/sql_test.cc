@@ -10,6 +10,7 @@
 #include "incremental/view_cache.h"
 #include "coloring/inference.h"
 #include "coloring/soundness.h"
+#include "core/sequential.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "sql/engine.h"
@@ -344,6 +345,55 @@ TEST(SetOrientedUpdateFormsTest, AnalyzeTakesPhaseOneFromTheViewCache) {
                                         .view_cache = &statement_cache})
                   .ok());
   EXPECT_EQ(plan.counters, LogicalCounters(statement_metrics));
+}
+
+TEST(SetOrientedUpdateFormsTest, EngineEntryPointsOnlyReadTheViewCache) {
+  // Publishing a committed delta belongs to the durable store alone: an
+  // engine entry point handed a cache may read from it but never feeds it.
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  Instance db(&ds.schema);
+  ASSERT_NO_FATAL_FAILURE(BuildServiceTenant(ds, db));
+  const ExprPtr query = ServiceUpdateQuery();
+  ViewCache cache(&ds.schema);
+  ASSERT_TRUE(cache.Prime(db).ok());
+  ASSERT_TRUE(cache.Query(query).ok());
+  const std::uint64_t epoch = cache.epoch();
+  const ExecOptions options{.view_cache = &cache};
+
+  Instance updated = db;
+  ASSERT_TRUE(
+      SetOrientedUpdateInPlace(updated, ds.frequents, query, options).ok());
+  EXPECT_FALSE(updated == db);
+  EXPECT_EQ(cache.epoch(), epoch);
+
+  Instance deleted = db;
+  const RowPredicate every_row = [](const Instance&, ObjectId) -> Result<bool> {
+    return true;
+  };
+  ASSERT_TRUE(SetOrientedDeleteInPlace(deleted, ds.bar, every_row, options)
+                  .ok());
+  EXPECT_TRUE(deleted.objects(ds.bar).empty());
+  EXPECT_EQ(cache.epoch(), epoch);
+
+  const auto add_bar = std::move(MakeAddBar(ds)).value();
+  std::vector<Receiver> receivers;
+  for (std::uint32_t d = 0; d < 8; ++d) {
+    receivers.push_back(Receiver::Unchecked(
+        {ObjectId(ds.drinker, d), ObjectId(ds.bar, (d + 1) % kBars)}));
+  }
+  const Result<Instance> sequential =
+      SequentialApply(*add_bar, db, receivers, options);
+  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+  EXPECT_FALSE(*sequential == db);
+  EXPECT_EQ(cache.epoch(), epoch);
+
+  ExecOptions sharded = options;
+  sharded.num_workers = 2;
+  const Result<Instance> parallel =
+      ParallelApply(*add_bar, db, receivers, sharded);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_TRUE(*parallel == *sequential);
+  EXPECT_EQ(cache.epoch(), epoch);
 }
 
 }  // namespace
