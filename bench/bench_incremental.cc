@@ -6,8 +6,8 @@
 //   BM_FromScratchViewUpdate — the paper-baseline path: apply the delta,
 //     then recompute the receiver view by EncodeInstance + Evaluate.
 //   BM_IncrementalViewUpdate — the ViewCache path: ApplyDelta (O(|delta|)
-//     mirror maintenance) + a demand-driven Read that propagates the delta
-//     rules through the view's plan.
+//     mirror maintenance) + a demand-driven Query, the read the server
+//     performs, which propagates the delta rules through the view's plan.
 //   BM_DeltaAbsorption — ApplyDelta alone: the eager half of the split,
 //     which must stay flat as the instance grows.
 //
@@ -126,8 +126,7 @@ void BM_IncrementalViewUpdate(benchmark::State& state) {
   options.metrics = benchobs::ObsMetrics();
   options.tracer = benchobs::ObsTracer();
   ViewCache cache(&w.schema.schema, options);
-  if (!cache.Prime(w.instance).ok() ||
-      !cache.Register("happy", w.view).ok() || !cache.Read("happy").ok()) {
+  if (!cache.Prime(w.instance).ok() || !cache.Query(w.view).ok()) {
     state.SkipWithError("cache setup failed");
     return;
   }
@@ -138,7 +137,7 @@ void BM_IncrementalViewUpdate(benchmark::State& state) {
       state.SkipWithError("delta absorption failed");
       return;
     }
-    Result<std::shared_ptr<const Relation>> view = cache.Read("happy");
+    Result<std::shared_ptr<const Relation>> view = cache.Query(w.view);
     if (!view.ok()) {
       state.SkipWithError("cached read failed");
       return;

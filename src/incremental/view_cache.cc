@@ -45,14 +45,14 @@ std::uint64_t NowNs() {
 
 }  // namespace
 
-/// One registered view: its expression's Plan plus the per-node state the
+/// One view: its expression's Plan plus the per-node state the
 /// delta rules maintain. `nodes` parallels the plan's nodes (inputs first;
 /// the root is last) — materialized outputs, join indexes keyed by the join
 /// attributes, and projection support counts.
 struct ViewCache::View {
   struct Node {
     /// The plan operator this node maintains. Products are maintained as
-    /// joins without conditions; the root wrapper (see RegisterLocked)
+    /// joins without conditions; the root wrapper (see MakeView)
     /// passes its input through like a rename.
     Node(const Plan::Node* plan_node, Plan::Kind maintained_as,
          std::size_t input, std::size_t second_input)
@@ -69,7 +69,7 @@ struct ViewCache::View {
     const RelationScheme& scheme() const { return op->scheme; }
 
     // Materialized output (all kinds except kScan, which aliases the
-    // mirror). Handed out by Read() for the root, so refreshes clone before
+    // mirror). Handed out by Query() for the root, so refreshes clone before
     // mutating whenever a reader still holds it (copy-on-write).
     std::shared_ptr<Relation> out;
     // kJoin/kProduct: side tuples passing the local filters, keyed by the
@@ -79,9 +79,7 @@ struct ViewCache::View {
     std::unordered_map<Tuple, std::size_t, TupleHash> support;
   };
 
-  std::string name;
   ExprPtr expr;
-  std::string expr_text;
   Plan plan;
   std::vector<Node> nodes;
   std::uint64_t cursor = 0;  // global pending index consumed up to
@@ -318,35 +316,10 @@ Status ViewCache::ApplyDelta(const InstanceDelta& delta) {
   return Status::OK();
 }
 
-Status ViewCache::Register(std::string name, ExprPtr expr) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return RegisterLocked(std::move(name), std::move(expr),
-                        /*evict_for_room=*/false);
-}
-
-Status ViewCache::RegisterLocked(std::string name, ExprPtr expr,
-                                 bool evict_for_room) {
-  SETREC_RETURN_IF_ERROR(init_status_);
-  if (expr == nullptr) {
-    return Status::InvalidArgument("null view expression");
-  }
-  std::string text = ExprToString(*expr);
-  auto it = views_.find(name);
-  if (it != views_.end()) {
-    if (it->second->expr_text == text) return Status::OK();  // idempotent
-    return Status::AlreadyExists("view " + name +
-                                 " is bound to a different expression");
-  }
-  if (views_.size() >= options_.max_views) {
-    if (!evict_for_room) {
-      return Status::ResourceExhausted("view cache holds max_views views");
-    }
-    EvictLeastRecentlyRead();
-  }
+Result<std::unique_ptr<ViewCache::View>> ViewCache::MakeView(
+    ExprPtr expr) const {
   auto view = std::make_unique<View>();
-  view->name = name;
   view->expr = std::move(expr);
-  view->expr_text = std::move(text);
   SETREC_ASSIGN_OR_RETURN(view->plan, Plan::Build(*view->expr, catalog_));
   for (const Plan::Node& op : view->plan.nodes()) {
     view->nodes.emplace_back(&op, op.kind, op.left, op.right);
@@ -358,21 +331,7 @@ Status ViewCache::RegisterLocked(std::string name, ExprPtr expr,
                              view->nodes.size() - 1, 0);
   }
   view->cursor = PendingHead();
-  view->cold = true;
-  view->last_read_tick = ++read_tick_;
-  views_.emplace(std::move(name), std::move(view));
-  stats_.registered_views = views_.size();
-  return Status::OK();
-}
-
-bool ViewCache::Unregister(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = views_.find(name);
-  if (it == views_.end()) return false;
-  views_.erase(it);
-  stats_.registered_views = views_.size();
-  Compact();
-  return true;
+  return view;
 }
 
 const Relation& ViewCache::NodeRel(const View& view,
@@ -686,22 +645,24 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
   return outcome;
 }
 
-Result<std::shared_ptr<const Relation>> ViewCache::Read(std::string_view name,
-                                                        ExecContext* ctx) {
+Result<std::shared_ptr<const Relation>> ViewCache::Query(const ExprPtr& expr,
+                                                         ExecContext* ctx) {
   std::lock_guard<std::mutex> lock(mu_);
-  return ReadLocked(name, ctx);
-}
-
-Result<std::shared_ptr<const Relation>> ViewCache::ReadLocked(
-    std::string_view name, ExecContext* ctx) {
   SETREC_RETURN_IF_ERROR(init_status_);
+  if (expr == nullptr) {
+    return Status::InvalidArgument("null view expression");
+  }
   if (!primed_) {
     return Status::FailedPrecondition(
-        "ViewCache::Read before Prime: no base state to materialize from");
+        "ViewCache::Query before Prime: no base state to materialize from");
   }
-  auto it = views_.find(name);
+  std::string key = ExprToString(*expr);
+  auto it = views_.find(key);
   if (it == views_.end()) {
-    return Status::NotFound("no view named " + std::string(name));
+    SETREC_ASSIGN_OR_RETURN(std::unique_ptr<View> made, MakeView(expr));
+    if (views_.size() >= options_.max_views) EvictLeastRecentlyRead();
+    it = views_.emplace(std::move(key), std::move(made)).first;
+    stats_.registered_views = views_.size();
   }
   View& view = *it->second;
   view.last_read_tick = ++read_tick_;
@@ -763,21 +724,8 @@ Result<std::shared_ptr<const Relation>> ViewCache::ReadLocked(
   return std::shared_ptr<const Relation>(view.nodes.back().out);
 }
 
-Result<std::shared_ptr<const Relation>> ViewCache::Query(const ExprPtr& expr,
-                                                         ExecContext* ctx) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SETREC_RETURN_IF_ERROR(init_status_);
-  if (expr == nullptr) {
-    return Status::InvalidArgument("null view expression");
-  }
-  std::string name = ExprToString(*expr);
-  SETREC_RETURN_IF_ERROR(
-      RegisterLocked(name, expr, /*evict_for_room=*/true));
-  return ReadLocked(name, ctx);
-}
-
 void ViewCache::Compact() {
-  // Drop the log prefix every registered view has consumed.
+  // Drop the log prefix every view has consumed.
   std::uint64_t min_cursor = PendingHead();
   for (const auto& [name, view] : views_) {
     min_cursor = std::min(min_cursor, view->cursor);
@@ -832,12 +780,14 @@ std::vector<std::string> ViewCache::ViewNames() const {
   return out;
 }
 
-Result<std::vector<Receiver>> ReceiversFromView(
-    ViewCache& cache, const ExprPtr& query, const MethodSignature& signature,
-    ExecContext* ctx) {
-  SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> result,
-                          cache.Query(query, ctx));
-  return ReceiversFromRelation(*result, signature);
+Result<std::optional<std::shared_ptr<const Relation>>> CachedRead(
+    ViewCache* cache, const ExprPtr& expr, ExecContext& ctx) {
+  using Served = std::optional<std::shared_ptr<const Relation>>;
+  if (cache == nullptr) return Served();
+  Result<std::shared_ptr<const Relation>> view = cache->Query(expr, &ctx);
+  if (view.ok()) return Served(std::move(view).value());
+  if (IsGovernanceError(view.status())) return view.status();
+  return Served();
 }
 
 }  // namespace setrec

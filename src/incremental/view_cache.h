@@ -7,13 +7,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/exec_context.h"
 #include "core/instance.h"
-#include "core/receiver.h"
 #include "core/schema.h"
 #include "core/status.h"
 #include "obs/metrics.h"
@@ -38,9 +37,8 @@ struct ViewCacheOptions {
   /// point the incremental work costs more than rebuilding.
   std::size_t max_delta_rows_per_refresh = std::size_t{1} << 20;
 
-  /// Cap on registered views. Query() evicts the least-recently-read view
-  /// to stay under it; Register() fails with kResourceExhausted instead
-  /// (explicit registrations are pinned by intent).
+  /// Cap on materialized views. Query() evicts the least-recently-read view
+  /// to stay under it.
   std::size_t max_views = 256;
 
   MetricsRegistry* metrics = nullptr;  // incremental.* instruments
@@ -51,16 +49,18 @@ struct ViewCacheOptions {
 /// of one object-base instance (Section 5.1), in the discipline of
 /// *Demand-Driven Incremental Object Queries* (Liu et al.): committed
 /// `InstanceDelta`s are absorbed eagerly into a base-relation mirror in
-/// O(|delta|), while registered views are refreshed lazily — a delta only
-/// marks dependent views stale, and the delta rules (insert/delete deltas
+/// O(|delta|), while views are refreshed lazily — a delta only marks
+/// dependent views stale, and the delta rules (insert/delete deltas
 /// propagated through union/difference/join/select/project/rename nodes,
 /// with per-node join indexes and projection support counts) run on the
 /// next read of each view. Untouched views cost nothing; a view whose
 /// referenced relations saw no changes answers a read in O(1).
 ///
-/// Correctness contract: a Read() of a registered view is bit-identical to
-/// from-scratch `Evaluate(expr, EncodeInstance(instance))` over the
-/// instance state the cache has been fed (the from-scratch path remains the
+/// The one read is Query(expr): the first read of an expression
+/// materializes a view keyed by its printed form, later reads refresh it.
+/// Correctness contract: a Query() is bit-identical to from-scratch
+/// `Evaluate(expr, EncodeInstance(instance))` over the instance state the
+/// cache has been fed (the from-scratch path remains the
 /// differential-testing oracle). Fed deltas must be *closed* the way
 /// `DiffInstances` produces them: an object removal is accompanied by
 /// removals of its incident edges. Deltas are normalized against the
@@ -74,11 +74,11 @@ struct ViewCacheOptions {
 ///
 /// Thread safety: all public methods are safe to call concurrently (one
 /// internal mutex). Returned relations are immutable snapshots: a refresh
-/// never mutates a relation a previous Read() handed out (copy-on-write).
+/// never mutates a relation a previous Query() handed out (copy-on-write).
 class ViewCache {
  public:
-  /// Implementation detail (a registered view's plan plus per-node
-  /// maintenance state), defined in the .cc; public only so file-local
+  /// Implementation detail (a view's plan plus per-node maintenance
+  /// state), defined in the .cc; public only so file-local
   /// helpers there can name its nested types.
   struct View;
 
@@ -91,7 +91,7 @@ class ViewCache {
     std::uint64_t invalidations = 0;  // view dirty-markings by ApplyDelta
     std::uint64_t delta_rows = 0;     // delta rows propagated through nodes
     std::uint64_t evictions = 0;      // views evicted by the max_views LRU
-    std::size_t registered_views = 0;
+    std::size_t registered_views = 0;  // views held now
   };
 
   /// The schema must outlive the cache. Construction never fails, but a
@@ -104,7 +104,7 @@ class ViewCache {
   ViewCache& operator=(const ViewCache&) = delete;
 
   /// (Re)builds the base-relation mirror from a full instance state and
-  /// resets the delta log; every registered view goes cold and
+  /// resets the delta log; every view goes cold and
   /// rematerializes on its next read. Called once after recovery (and again
   /// after any out-of-band state replacement, e.g. a replica resync).
   Status Prime(const Instance& instance);
@@ -112,7 +112,7 @@ class ViewCache {
   /// Absorbs one committed delta: updates the mirror in O(|delta|), appends
   /// the normalized per-relation tuple delta to the pending log, bumps the
   /// epoch, and marks views whose referenced relations were touched as
-  /// stale. No view is refreshed here — that happens on demand, at Read().
+  /// stale. No view is refreshed here — that happens on demand, at Query().
   ///
   /// Fails closed: a delta that does not validate against the schema or the
   /// mirror's current state (beyond the harmless already-absorbed case that
@@ -121,32 +121,20 @@ class ViewCache {
   /// views that have silently diverged from the authoritative instance.
   Status ApplyDelta(const InstanceDelta& delta);
 
-  /// Registers `expr` as a materialized view under `name`. Validates the
-  /// expression against the encoded catalog (unknown relations or scheme
-  /// violations fail here, leaving callers to fall back to from-scratch
-  /// evaluation). Idempotent for the same name/expression pair; a name
-  /// collision with a different expression is kAlreadyExists. Registration
-  /// is cheap — the view materializes on first read.
-  Status Register(std::string name, ExprPtr expr);
-
-  /// Drops a view; returns whether it existed.
-  bool Unregister(std::string_view name);
-
-  /// Returns the view's current contents, refreshing on demand: cold views
-  /// rematerialize, stale views propagate the coalesced net delta through
-  /// their plan, views with no relevant pending changes return immediately.
-  /// Requires a primed cache (kFailedPrecondition otherwise). When `ctx` is
-  /// given, refresh work runs under its governance — per-tuple probe points
+  /// The cache's one read: the current contents of `expr`'s view, keyed by
+  /// the expression's printed form. The first read of an expression
+  /// validates it against the encoded catalog (unknown relations or scheme
+  /// violations fail here, leaving callers their from-scratch fallback) and
+  /// materializes it, evicting the least-recently-read view when max_views
+  /// are held; later reads refresh on demand: cold views rematerialize,
+  /// stale views propagate the coalesced net delta through their plan,
+  /// views with no relevant pending changes return immediately. Requires a
+  /// primed cache (kFailedPrecondition otherwise). When `ctx` is given,
+  /// refresh work runs under its governance — per-tuple probe points
   /// enforce deadlines, step budgets, cancellation and injected faults
   /// exactly like from-scratch evaluation; an interrupted refresh leaves
   /// the view cold (it rebuilds on the next read) and returns the
   /// governance error.
-  Result<std::shared_ptr<const Relation>> Read(std::string_view name,
-                                               ExecContext* ctx = nullptr);
-
-  /// Register-if-needed + Read, keyed by the expression's printed form —
-  /// the ad-hoc entry point used by the server's query path. Subject to the
-  /// max_views LRU. `ctx` governs the refresh as in Read().
   Result<std::shared_ptr<const Relation>> Query(const ExprPtr& expr,
                                                 ExecContext* ctx = nullptr);
 
@@ -172,9 +160,8 @@ class ViewCache {
     kOverBudget,  // abandoned mid-flight; node state is torn — rebuild
   };
 
-  Status RegisterLocked(std::string name, ExprPtr expr, bool evict_for_room);
-  Result<std::shared_ptr<const Relation>> ReadLocked(std::string_view name,
-                                                     ExecContext* ctx);
+  /// Builds the plan and node list of a new, cold view of `expr`.
+  Result<std::unique_ptr<View>> MakeView(ExprPtr expr) const;
   Status RebuildView(View& view, ExecContext* ctx);
   /// Propagates the view's coalesced net delta through its plan. Non-OK =
   /// a governance stop from `ctx`; the view was left cold.
@@ -204,14 +191,14 @@ class ViewCache {
   Stats stats_;
 };
 
-/// Phase-one of a set-oriented update through the cache: evaluates the
-/// receiver query as a (registered-on-demand) view and decodes the result
-/// with ReceiversFromRelation, as ReceiversFromQuery does. Callers fall
-/// back to the from-scratch path on any error — except governance errors
-/// from `ctx`, which they must propagate.
-Result<std::vector<Receiver>> ReceiversFromView(
-    ViewCache& cache, const ExprPtr& query, const MethodSignature& signature,
-    ExecContext* ctx = nullptr);
+/// A read through the cache, for callers that fall back to from-scratch
+/// evaluation: `cache`'s answer for `expr`, or nullopt when there is no
+/// cache or it cannot serve the expression (unprimed, unsupported
+/// expression). A governance stop from `ctx` is not a miss and propagates:
+/// the answer was not computed, and a from-scratch retry would blow the
+/// same budget.
+Result<std::optional<std::shared_ptr<const Relation>>> CachedRead(
+    ViewCache* cache, const ExprPtr& expr, ExecContext& ctx);
 
 }  // namespace setrec
 

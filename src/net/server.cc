@@ -693,16 +693,16 @@ Response Server::HandleQuery(Tenant& tenant, const Request& request,
     // any other cache error (unprimed after a fault, unsupported
     // expression) falls through to from-scratch evaluation below.
     applied = tenant.store->last_sequence();
-    Result<std::shared_ptr<const Relation>> view =
-        tenant.view_cache->Query(*query, &ctx);
-    if (view.ok()) {
+    Result<std::optional<std::shared_ptr<const Relation>>> cached =
+        CachedRead(tenant.view_cache.get(), *query, ctx);
+    if (!cached.ok()) return ErrorResponse(cached.status());
+    if (cached->has_value()) {
       Response response = OkResponse();
-      response.body = RenderRelation(**view, *options_.schema);
+      response.body = RenderRelation(*cached->value(), *options_.schema);
       response.applied_sequence = applied;
       response.leader_sequence = applied;
       return response;
     }
-    if (IsGovernanceError(view.status())) return ErrorResponse(view.status());
   }
   Instance state(options_.schema);
   if (tenant.replica != nullptr) {

@@ -50,7 +50,7 @@ Result<Instance> DecodeInstance(const Database& database,
 /// domains), and each tuple becomes one receiver, in canonical (sorted)
 /// order — the enumeration sequential application and the set-oriented
 /// UPDATE's phase two see. The one relation-to-receivers conversion
-/// (ReceiversFromQuery, ReceiversFromView and EXPLAIN ANALYZE call it).
+/// (ReceiversFromQuery and the set-oriented UPDATE's phase one call it).
 Result<std::vector<Receiver>> ReceiversFromRelation(
     const Relation& rows, const MethodSignature& signature);
 

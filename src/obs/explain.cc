@@ -308,28 +308,25 @@ Result<ExplainPlan> ExplainExpressionAnalyze(const ExprPtr& expr,
   plan.title = "EXPLAIN ANALYZE: " + ExprToString(*expr);
   plan.analyzed = true;
 
-  if (opts.view_cache != nullptr) {
-    const auto start = std::chrono::steady_clock::now();
-    Result<std::shared_ptr<const Relation>> view =
-        opts.view_cache->Query(expr, &ctx);
-    if (view.ok()) {
-      const std::uint64_t read_ns = ElapsedNs(start);
-      // No operator of the expression ran: the cache answered from its
-      // incrementally maintained view.
-      SETREC_ASSIGN_OR_RETURN(PlanNode operators,
-                              BuildPlan(expr, database, nullptr));
-      PlanNode read;
-      read.op = "ViewRead";
-      read.detail = "served by the incremental view cache";
-      read.scheme = operators.scheme;
-      read.analyzed = true;
-      read.actual_rows = (*view)->size();
-      read.wall_ns = read_ns;
-      plan.roots.push_back(std::move(read));
-      plan.counters = LogicalCounters(*ctx.metrics());
-      return plan;
-    }
-    if (IsGovernanceError(view.status())) return view.status();
+  const auto start = std::chrono::steady_clock::now();
+  SETREC_ASSIGN_OR_RETURN(std::optional<std::shared_ptr<const Relation>> view,
+                          CachedRead(opts.view_cache, expr, ctx));
+  if (view.has_value()) {
+    const std::uint64_t read_ns = ElapsedNs(start);
+    // No operator of the expression ran: the cache answered from its
+    // incrementally maintained view.
+    SETREC_ASSIGN_OR_RETURN(PlanNode operators,
+                            BuildPlan(expr, database, nullptr));
+    PlanNode read;
+    read.op = "ViewRead";
+    read.detail = "served by the incremental view cache";
+    read.scheme = operators.scheme;
+    read.analyzed = true;
+    read.actual_rows = (*view)->size();
+    read.wall_ns = read_ns;
+    plan.roots.push_back(std::move(read));
+    plan.counters = LogicalCounters(*ctx.metrics());
+    return plan;
   }
 
   Evaluator evaluator(&database, {.ctx = &ctx, .backend = opts.backend});
@@ -374,33 +371,29 @@ Result<ExplainPlan> ExplainSetOrientedUpdate(const Instance& instance,
     ExecScope scope(opts);
     ExecContext& ctx = scope.ctx();
 
-    // Phase one, the statement's way: from the view cache when it can
+    // Phase one, the statement's own: from the view cache when it can
     // serve, else evaluated against the encoded input state with a
     // statistics-collecting evaluator.
     auto start = std::chrono::steady_clock::now();
     SETREC_ASSIGN_OR_RETURN(
-        std::optional<std::vector<Receiver>> receivers,
-        CachedReceivers(opts.view_cache, receiver_query, signature, ctx));
-    from_cache = receivers.has_value();
-    if (from_cache) {
-      cache_read_ns = ElapsedNs(start);
-    } else {
-      SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(instance));
-      Evaluator evaluator(&db, {.ctx = &ctx, .backend = opts.backend});
-      evaluator.set_node_stats(&stats);
-      SETREC_ASSIGN_OR_RETURN(Relation rows, evaluator.Eval(receiver_query));
-      SETREC_ASSIGN_OR_RETURN(receivers,
-                              ReceiversFromRelation(rows, signature));
-    }
+        UpdateReceivers phase_one,
+        ComputeUpdateReceivers(instance, receiver_query, signature,
+                               {.ctx = &ctx,
+                                .backend = opts.backend,
+                                .view_cache = opts.view_cache},
+                               &stats));
+    from_cache = phase_one.from_view_cache;
+    if (from_cache) cache_read_ns = ElapsedNs(start);
 
     // Phase two: the statement's own, on a scratch copy so the caller's
     // instance is untouched.
     Instance scratch = instance;
     start = std::chrono::steady_clock::now();
     SETREC_RETURN_IF_ERROR(
-        ApplyAssignToKeySet(scratch, property, *receivers, {.ctx = &ctx}));
+        ApplyAssignToKeySet(scratch, property, phase_one.receivers,
+                            {.ctx = &ctx}));
     apply.analyzed = true;
-    apply.actual_rows = receivers->size();
+    apply.actual_rows = phase_one.receivers.size();
     apply.wall_ns = ElapsedNs(start);
     plan.counters = LogicalCounters(*ctx.metrics());
   }

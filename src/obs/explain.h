@@ -85,10 +85,10 @@ Result<ExplainPlan> ExplainExpression(const ExprPtr& expr,
                                       const Catalog& catalog);
 
 /// EXPLAIN ANALYZE: takes the read the way the server's query path does.
-/// When options.view_cache can serve `expr` (a governance stop propagates;
-/// any other cache error falls back), the plan is one ViewRead node with
-/// the read's rows and wall time and no operator children — no operator
-/// ran. Otherwise evaluates `expr` against `database` under the options'
+/// When options.view_cache can serve `expr` (CachedRead: a governance stop
+/// propagates, any other cache error falls back), the plan is one ViewRead
+/// node with the read's rows and wall time and no operator children — no
+/// operator ran. Otherwise evaluates `expr` against `database` under the options'
 /// sinks and annotates every operator with actual rows, join build/probe
 /// counts, memo hits and wall time. When the effective context has no
 /// metrics registry, a private one is used, so `counters` is always
@@ -100,11 +100,11 @@ Result<ExplainPlan> ExplainExpressionAnalyze(const ExprPtr& expr,
 /// EXPLAIN [ANALYZE] for the Section 7 set-oriented UPDATE: renders the
 /// two-phase pipeline — the receiver query evaluated against the
 /// pre-statement state, then the key-order independent `a := arg1`
-/// application. ANALYZE takes phase one the way SetOrientedUpdateInPlace
-/// does: from options.view_cache when it can serve the query (a governance
-/// stop propagates; any other cache error falls back), rendered as a cache
-/// read with its rows and wall time and no operator children; otherwise
-/// with a statistics-collecting evaluator. It then runs
+/// application. ANALYZE runs SetOrientedUpdateInPlace's own phase one,
+/// ComputeUpdateReceivers (sql/engine.h): from options.view_cache when it
+/// can serve the query, rendered as a cache read with its rows and wall
+/// time and no operator children; otherwise on options.backend with a
+/// statistics-collecting evaluator. It then runs
 /// the statement's own phase two (ApplyAssignToKeySet, sql/engine.h) on a
 /// scratch copy; `instance` is never mutated, and the counters equal those
 /// SetOrientedUpdateInPlace charges on the same input and an identically

@@ -39,11 +39,6 @@ void Database::Put(std::string name, Relation relation) {
       std::move(name), std::make_shared<const Relation>(std::move(relation)));
 }
 
-void Database::PutShared(std::string name,
-                         std::shared_ptr<const Relation> relation) {
-  relations_.insert_or_assign(std::move(name), std::move(relation));
-}
-
 bool Database::Has(std::string_view name) const {
   return relations_.find(name) != relations_.end();
 }

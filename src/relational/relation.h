@@ -154,12 +154,6 @@ class Database {
   /// Installs (or replaces) a relation under `name`.
   void Put(std::string name, Relation relation);
 
-  /// Installs a relation that is already behind shared storage. Callers that
-  /// assemble databases from relations they hold as shared_ptrs (the
-  /// incremental view cache, the evaluator's memo) use this to avoid a deep
-  /// copy; `relation` must not be null.
-  void PutShared(std::string name, std::shared_ptr<const Relation> relation);
-
   bool Has(std::string_view name) const;
   Result<const Relation*> Find(std::string_view name) const;
 

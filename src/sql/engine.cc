@@ -5,6 +5,7 @@
 
 #include "core/sequential.h"
 #include "incremental/view_cache.h"
+#include "objrel/encoding.h"
 
 namespace setrec {
 
@@ -179,27 +180,34 @@ Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
   // `instance` — phase two still rejects receivers that do not exist in the
   // instance, but cannot detect a stale-but-valid receiver set.
   SETREC_ASSIGN_OR_RETURN(
-      std::optional<std::vector<Receiver>> receivers,
-      CachedReceivers(options.view_cache, receiver_query, signature, ctx));
-  if (!receivers.has_value()) {
-    SETREC_ASSIGN_OR_RETURN(receivers, ReceiversFromQuery(receiver_query,
-                                                          instance, signature,
-                                                          ctx));
-  }
-  return ApplyAssignToKeySet(instance, property, *receivers, {.ctx = &ctx});
+      UpdateReceivers phase_one,
+      ComputeUpdateReceivers(instance, receiver_query, signature,
+                             {.ctx = &ctx,
+                              .backend = options.backend,
+                              .view_cache = options.view_cache}));
+  return ApplyAssignToKeySet(instance, property, phase_one.receivers,
+                             {.ctx = &ctx});
 }
 
-Result<std::optional<std::vector<Receiver>>> CachedReceivers(
-    ViewCache* view_cache, const ExprPtr& receiver_query,
-    const MethodSignature& signature, ExecContext& ctx) {
-  if (view_cache == nullptr) return std::optional<std::vector<Receiver>>();
-  Result<std::vector<Receiver>> cached =
-      ReceiversFromView(*view_cache, receiver_query, signature, &ctx);
-  if (cached.ok()) {
-    return std::optional<std::vector<Receiver>>(std::move(cached).value());
+Result<UpdateReceivers> ComputeUpdateReceivers(
+    const Instance& instance, const ExprPtr& receiver_query,
+    const MethodSignature& signature, const ExecOptions& options,
+    std::unordered_map<const Expr*, EvalNodeStats>* node_stats) {
+  ExecScope scope(options);
+  ExecContext& ctx = scope.ctx();
+  SETREC_ASSIGN_OR_RETURN(
+      std::optional<std::shared_ptr<const Relation>> rows,
+      CachedRead(options.view_cache, receiver_query, ctx));
+  const bool from_view_cache = rows.has_value();
+  if (!from_view_cache) {
+    SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(instance));
+    Evaluator evaluator(&db, {.ctx = &ctx, .backend = options.backend});
+    evaluator.set_node_stats(node_stats);
+    SETREC_ASSIGN_OR_RETURN(rows, evaluator.EvalShared(receiver_query));
   }
-  if (IsGovernanceError(cached.status())) return cached.status();
-  return std::optional<std::vector<Receiver>>();
+  SETREC_ASSIGN_OR_RETURN(std::vector<Receiver> receivers,
+                          ReceiversFromRelation(**rows, signature));
+  return UpdateReceivers{std::move(receivers), from_view_cache};
 }
 
 Status ApplyAssignToKeySet(Instance& instance, PropertyId property,

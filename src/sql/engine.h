@@ -4,12 +4,14 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "algebraic/method_library.h"
 #include "core/exec_context.h"
 #include "core/exec_options.h"
 #include "core/instance.h"
+#include "relational/evaluator.h"
 
 namespace setrec {
 
@@ -97,30 +99,39 @@ Result<Instance> SetOrientedUpdate(const Instance& instance,
                                    const ExprPtr& receiver_query,
                                    const ExecOptions& options = {});
 
-/// In-place set-oriented UPDATE with all-or-nothing semantics. Phase one
-/// computes the receiver key set against the input state: from
-/// options.view_cache when one is given (incrementally maintained; any
-/// cache error except a governance stop falls back to from-scratch
-/// evaluation — see incremental/view_cache.h), from scratch otherwise.
-/// Phase two is ApplyAssignToKeySet under the same context. On ANY failure —
-/// a governance stop, an injected fault at any probe point, or a structural
-/// error — `instance` is bit-identical to its pre-statement state. The
-/// statement only reads options.view_cache; the caller feeds it the
-/// committed delta (DurableStore does, after logging it).
+/// In-place set-oriented UPDATE with all-or-nothing semantics. Phase one,
+/// ComputeUpdateReceivers, computes the receiver key set against the input
+/// state: from options.view_cache when it serves the query, from scratch
+/// on options.backend otherwise. Phase two is ApplyAssignToKeySet under the
+/// same context. On ANY failure — a governance stop, an injected fault at
+/// any probe point, or a structural error — `instance` is bit-identical to
+/// its pre-statement state. The statement only reads options.view_cache;
+/// the caller feeds it the committed delta (DurableStore does, after
+/// logging it).
 Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
                                 const ExprPtr& receiver_query,
                                 const ExecOptions& options = {});
 
-/// Phase one's cache read, shared by SetOrientedUpdateInPlace and EXPLAIN
-/// ANALYZE of the statement: the receivers of `receiver_query` from
-/// `view_cache`. nullopt when there is none, or when the cache cannot serve
-/// the query (unprimed, unsupported expression, a
-/// receiver-shape mismatch); the caller then evaluates from scratch. A
-/// governance stop is not a cache miss and propagates: the answer was not
-/// computed, and a from-scratch retry would blow the same budget.
-Result<std::optional<std::vector<Receiver>>> CachedReceivers(
-    ViewCache* view_cache, const ExprPtr& receiver_query,
-    const MethodSignature& signature, ExecContext& ctx);
+/// The result of the UPDATE's phase one.
+struct UpdateReceivers {
+  std::vector<Receiver> receivers;
+  bool from_view_cache = false;  // options.view_cache served the query
+};
+
+/// Phase one of the set-oriented UPDATE, the one the statement and EXPLAIN
+/// ANALYZE of it both run: the receivers of type `signature` that
+/// `receiver_query` selects over `instance`, in canonical order. Read from
+/// options.view_cache when it serves the query (CachedRead,
+/// incremental/view_cache.h: a governance stop propagates, any other cache
+/// error is a miss); on a miss, evaluated from scratch over
+/// EncodeInstance(instance) by an Evaluator under `options` (its context
+/// and backend), which records per-node statistics into `node_stats` when
+/// given. Either way the rows become receivers through
+/// ReceiversFromRelation.
+Result<UpdateReceivers> ComputeUpdateReceivers(
+    const Instance& instance, const ExprPtr& receiver_query,
+    const MethodSignature& signature, const ExecOptions& options = {},
+    std::unordered_map<const Expr*, EvalNodeStats>* node_stats = nullptr);
 
 /// Phase two of the set-oriented UPDATE, the one the statement, its copying
 /// form and EXPLAIN ANALYZE all run: applies `a := arg1` to the receivers of

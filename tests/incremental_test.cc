@@ -227,10 +227,7 @@ TEST_F(ViewCacheTest, ColdReadsMatchFromScratchEvaluation) {
 
   const std::vector<NamedView> views = MakeTestViews();
   for (const NamedView& v : views) {
-    ASSERT_TRUE(cache.Register(v.name, v.expr).ok()) << v.name;
-  }
-  for (const NamedView& v : views) {
-    auto read = cache.Read(v.name);
+    auto read = cache.Query(v.expr);
     ASSERT_TRUE(read.ok()) << v.name;
     EXPECT_TRUE(**read == Oracle(v.expr, instance))
         << "cold read of " << v.name << " diverges from the oracle";
@@ -239,7 +236,7 @@ TEST_F(ViewCacheTest, ColdReadsMatchFromScratchEvaluation) {
 
   // A second round of reads with nothing pending is all hits.
   for (const NamedView& v : views) {
-    ASSERT_TRUE(cache.Read(v.name).ok()) << v.name;
+    ASSERT_TRUE(cache.Query(v.expr).ok()) << v.name;
   }
   EXPECT_EQ(cache.stats().hits, views.size());
 }
@@ -254,9 +251,6 @@ TEST_F(ViewCacheTest, SixteenSeedDeltaTrainsMatchTheOracleAtEveryStep) {
     Instance instance = Generate(seed);
     ViewCache cache(&ds_.schema);
     ASSERT_TRUE(cache.Prime(instance).ok()) << "seed " << seed;
-    for (const NamedView& v : views) {
-      ASSERT_TRUE(cache.Register(v.name, v.expr).ok()) << v.name;
-    }
     SplitMix64 rng(seed * 7919 + 1);
     for (int step = 0; step < 8; ++step) {
       // Two deltas between reads, so refresh must coalesce the pending
@@ -268,7 +262,7 @@ TEST_F(ViewCacheTest, SixteenSeedDeltaTrainsMatchTheOracleAtEveryStep) {
             << "seed " << seed << " step " << step;
       }
       for (const NamedView& v : views) {
-        auto read = cache.Read(v.name);
+        auto read = cache.Query(v.expr);
         ASSERT_TRUE(read.ok()) << v.name;
         EXPECT_TRUE(**read == Oracle(v.expr, instance))
             << "seed " << seed << " step " << step << " view " << v.name
@@ -300,9 +294,6 @@ TEST_F(ViewCacheTest, MethodTrainsAreBitIdenticalAcrossWorkerCounts) {
       Instance current = start;
       ViewCache cache(&ds_.schema);
       ASSERT_TRUE(cache.Prime(current).ok());
-      for (const NamedView& v : views) {
-        ASSERT_TRUE(cache.Register(v.name, v.expr).ok()) << v.name;
-      }
       // Same generator seed per run: the receiver draws replay identically
       // because the instance states they draw from are identical. The
       // applies only compute; the cache is fed each committed delta here,
@@ -329,7 +320,7 @@ TEST_F(ViewCacheTest, MethodTrainsAreBitIdenticalAcrossWorkerCounts) {
         current = std::move(applied2).value();
 
         for (const NamedView& v : views) {
-          auto read = cache.Read(v.name);
+          auto read = cache.Query(v.expr);
           ASSERT_TRUE(read.ok()) << v.name;
           EXPECT_TRUE(**read == Oracle(v.expr, current))
               << "seed " << seed << " workers " << workers << " round "
@@ -355,7 +346,6 @@ TEST_F(ViewCacheTest, RefeedingAPublishedDeltaIsAHarmlessNoOp) {
   Instance instance = Generate(3);
   ViewCache cache(&ds_.schema);
   ASSERT_TRUE(cache.Prime(instance).ok());
-  ASSERT_TRUE(cache.Register("frequents", ra::Rel("Df")).ok());
 
   SplitMix64 rng(42);
   InstanceDelta delta;
@@ -370,17 +360,16 @@ TEST_F(ViewCacheTest, RefeedingAPublishedDeltaIsAHarmlessNoOp) {
   ASSERT_TRUE(cache.ApplyDelta(delta).ok());
   EXPECT_EQ(cache.epoch(), epoch_after_first);
 
-  auto read = cache.Read("frequents");
+  auto read = cache.Query(ra::Rel("Df"));
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(**read == Oracle(ra::Rel("Df"), instance));
 }
 
 TEST_F(ViewCacheTest, ApiEdgesFailCleanly) {
   ViewCache cache(&ds_.schema);
-  ASSERT_TRUE(cache.Register("frequents", ra::Rel("Df")).ok());
 
   // Reads and delta feeds before Prime have no base state to work from.
-  EXPECT_EQ(cache.Read("frequents").status().code(),
+  EXPECT_EQ(cache.Query(ra::Rel("Df")).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(cache.ApplyDelta(InstanceDelta{}).code(),
             StatusCode::kFailedPrecondition);
@@ -393,15 +382,12 @@ TEST_F(ViewCacheTest, ApiEdgesFailCleanly) {
   EXPECT_TRUE(cache.ApplyDelta(InstanceDelta{}).ok());
   EXPECT_EQ(cache.epoch(), epoch);
 
-  // Unknown relations fail at registration, leaving callers their
+  // Unknown relations fail at the first read, leaving callers their
   // from-scratch fallback.
-  EXPECT_FALSE(cache.Register("bad", ra::Rel("Nope")).ok());
-  EXPECT_EQ(cache.Read("unregistered").status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(cache.Query(ra::Rel("Nope")).ok());
 
-  // Same name: idempotent for the same expression, refused for another.
-  EXPECT_TRUE(cache.Register("frequents", ra::Rel("Df")).ok());
-  EXPECT_EQ(cache.Register("frequents", ra::Rel("Dl")).code(),
-            StatusCode::kAlreadyExists);
+  // The same expression read again is the same view.
+  EXPECT_TRUE(cache.Query(ra::Rel("Df")).ok());
 }
 
 TEST_F(ViewCacheTest, OverBudgetRefreshFallsBackToFullRebuild) {
@@ -412,8 +398,7 @@ TEST_F(ViewCacheTest, OverBudgetRefreshFallsBackToFullRebuild) {
   ASSERT_TRUE(cache.Prime(instance).ok());
   const ExprPtr expr = ra::Union(ra::Project(ra::Rel("Df"), {"D"}),
                                  ra::Project(ra::Rel("Dl"), {"D"}));
-  ASSERT_TRUE(cache.Register("reaches", expr).ok());
-  ASSERT_TRUE(cache.Read("reaches").ok());
+  ASSERT_TRUE(cache.Query(expr).ok());
   ASSERT_EQ(cache.stats().rebuilds, 1u);
 
   // A delta wider than the budget must abandon propagation mid-flight and
@@ -428,7 +413,7 @@ TEST_F(ViewCacheTest, OverBudgetRefreshFallsBackToFullRebuild) {
   }
   ASSERT_TRUE(cache.ApplyDelta(delta).ok());
   ASSERT_TRUE(ApplyDelta(instance, delta).ok());
-  auto read = cache.Read("reaches");
+  auto read = cache.Query(expr);
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(**read == Oracle(expr, instance));
   EXPECT_EQ(cache.stats().fallbacks, 1u);
@@ -440,8 +425,7 @@ TEST_F(ViewCacheTest, InvalidationIsDemandDrivenAndSkipsUntouchedViews) {
   const Instance instance = TinyInstance();
   ViewCache cache(&ds_.schema);
   ASSERT_TRUE(cache.Prime(instance).ok());
-  ASSERT_TRUE(cache.Register("serves", ra::Rel("Bas")).ok());
-  ASSERT_TRUE(cache.Read("serves").ok());
+  ASSERT_TRUE(cache.Query(ra::Rel("Bas")).ok());
 
   // A delta to an unrelated relation (class D) must not even mark the view
   // stale; the next read is a pure hit.
@@ -449,7 +433,7 @@ TEST_F(ViewCacheTest, InvalidationIsDemandDrivenAndSkipsUntouchedViews) {
   unrelated.added_objects.push_back(ObjectId(ds_.drinker, 9));
   ASSERT_TRUE(cache.ApplyDelta(unrelated).ok());
   EXPECT_EQ(cache.stats().invalidations, 0u);
-  ASSERT_TRUE(cache.Read("serves").ok());
+  ASSERT_TRUE(cache.Query(ra::Rel("Bas")).ok());
   EXPECT_EQ(cache.stats().hits, 1u);
 
   // A delta touching Bas marks the view stale but does no node work until
@@ -468,7 +452,7 @@ TEST_F(ViewCacheTest, InvalidationIsDemandDrivenAndSkipsUntouchedViews) {
                   .AddEdge(ObjectId(ds_.bar, 1), ds_.serves,
                            ObjectId(ds_.beer, 0))
                   .ok());
-  auto read = cache.Read("serves");
+  auto read = cache.Query(ra::Rel("Bas"));
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(**read == Oracle(ra::Rel("Bas"), after));
   EXPECT_EQ(cache.stats().refreshes, 1u);
@@ -483,11 +467,7 @@ TEST_F(ViewCacheTest, QueryEvictsTheLeastRecentlyReadViewAtCapacity) {
 
   ASSERT_TRUE(cache.Query(ra::Rel("D")).ok());
   ASSERT_TRUE(cache.Query(ra::Rel("Ba")).ok());
-  // Explicit registrations are pinned by intent: at capacity they refuse
-  // rather than evict.
-  EXPECT_EQ(cache.Register("pinned", ra::Rel("Be")).code(),
-            StatusCode::kResourceExhausted);
-  // Ad-hoc queries make room by dropping the least recently read view.
+  // A new query makes room by dropping the least recently read view.
   ASSERT_TRUE(cache.Query(ra::Rel("Be")).ok());
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().registered_views, 2u);
@@ -508,23 +488,22 @@ TEST_F(ViewCacheTest, GovernedReadStopsEarlyAndTheViewRecovers) {
   ViewCache cache(&ds_.schema);
   ASSERT_TRUE(cache.Prime(instance).ok());
   const ExprPtr rivals = MakeTestViews().back().expr;
-  ASSERT_TRUE(cache.Register("rivals", rivals).ok());
 
   ExecContext tight(ExecContext::StepBudget(50));
-  const Status stopped = cache.Read("rivals", &tight).status();
+  const Status stopped = cache.Query(rivals, &tight).status();
   ASSERT_FALSE(stopped.ok());
   EXPECT_EQ(stopped.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(IsGovernanceError(stopped));
 
   // The interrupted rebuild left no torn state behind: an ungoverned read
   // rematerializes and matches the oracle.
-  auto read = cache.Read("rivals");
+  auto read = cache.Query(rivals);
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(**read == Oracle(rivals, instance));
 
   // A governed read with room to spare succeeds under the same machinery.
   ExecContext roomy(ExecContext::StepBudget(1u << 24));
-  EXPECT_TRUE(cache.Read("rivals", &roomy).ok());
+  EXPECT_TRUE(cache.Query(rivals, &roomy).ok());
 }
 
 // -- Fail-closed -------------------------------------------------------------
@@ -533,8 +512,7 @@ TEST_F(ViewCacheTest, InvalidDeltaFailsClosedUntilReprime) {
   const Instance instance = Generate(13);
   ViewCache cache(&ds_.schema);
   ASSERT_TRUE(cache.Prime(instance).ok());
-  ASSERT_TRUE(cache.Register("frequents", ra::Rel("Df")).ok());
-  ASSERT_TRUE(cache.Read("frequents").ok());
+  ASSERT_TRUE(cache.Query(ra::Rel("Df")).ok());
 
   // A delta the cache cannot absorb means the publisher's state has moved
   // past anything the mirror can represent: serving reads would silently
@@ -543,11 +521,11 @@ TEST_F(ViewCacheTest, InvalidDeltaFailsClosedUntilReprime) {
   bad.added_objects.push_back(ObjectId(99, 0));
   EXPECT_EQ(cache.ApplyDelta(bad).code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(cache.primed());
-  EXPECT_EQ(cache.Read("frequents").status().code(),
+  EXPECT_EQ(cache.Query(ra::Rel("Df")).status().code(),
             StatusCode::kFailedPrecondition);
 
   ASSERT_TRUE(cache.Prime(instance).ok());
-  auto read = cache.Read("frequents");
+  auto read = cache.Query(ra::Rel("Df"));
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(**read == Oracle(ra::Rel("Df"), instance));
 }
@@ -570,7 +548,7 @@ TEST_F(ViewCacheTest, SetOrientedUpdateThroughTheCacheMatchesThePlainPath) {
   Instance cached = start;
   ViewCache cache(&ds_.schema);
   ASSERT_TRUE(cache.Prime(cached).ok());
-  ASSERT_TRUE(cache.Register("frequents", ra::Rel("Df")).ok());
+  ASSERT_TRUE(cache.Query(ra::Rel("Df")).ok());
   ExecOptions options;
   options.view_cache = &cache;
   ASSERT_TRUE(
@@ -578,10 +556,10 @@ TEST_F(ViewCacheTest, SetOrientedUpdateThroughTheCacheMatchesThePlainPath) {
   ASSERT_TRUE(cache.ApplyDelta(DiffInstances(start, cached)).ok());
 
   EXPECT_TRUE(plain == cached);
-  // The ad-hoc receiver view is now registered alongside the pinned one.
+  // The receiver view is now held alongside the one read before.
   EXPECT_GE(cache.stats().registered_views, 2u);
   // The fed delta reaches dependent views.
-  auto read = cache.Read("frequents");
+  auto read = cache.Query(ra::Rel("Df"));
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(**read == Oracle(ra::Rel("Df"), cached));
 
@@ -595,20 +573,19 @@ TEST_F(ViewCacheTest, SetOrientedUpdateThroughTheCacheMatchesThePlainPath) {
   EXPECT_EQ(cache.stats().rebuilds, rebuilds_before);
   EXPECT_TRUE(plain == cached);  // idempotent update, still in lockstep
 
-  // ReceiversFromView agrees with the from-scratch phase one.
+  // The cached receiver view decodes to the from-scratch phase one.
   const auto assign =
       std::move(MakeAssignArgMethod(&ds_.schema, ds_.frequents)).value();
   ExecContext ctx;
   const auto from_query = std::move(
       ReceiversFromQuery(query, cached, assign->signature(), ctx)).value();
-  const auto from_view = std::move(
-      ReceiversFromView(cache, query, assign->signature())).value();
+  const auto from_view = std::move(ReceiversFromRelation(
+      **cache.Query(query), assign->signature())).value();
   EXPECT_EQ(from_query, from_view);
 }
 
 TEST_F(ViewCacheTest, SetOrientedDeletePublishesThroughTheStore) {
   ViewCache cache(&ds_.schema);
-  ASSERT_TRUE(cache.Register("frequents", ra::Rel("Df")).ok());
   DurableStoreOptions options;
   options.view_cache = &cache;
   auto store = std::move(DurableStore::Open(MakeTempDir("delete"),
@@ -621,7 +598,7 @@ TEST_F(ViewCacheTest, SetOrientedDeletePublishesThroughTheStore) {
                     return Status::OK();
                   })
                   .ok());
-  ASSERT_TRUE(cache.Read("frequents").ok());
+  ASSERT_TRUE(cache.Query(ra::Rel("Df")).ok());
 
   // Delete every bar: the cascade removes the f- and s-edges too, and the
   // cache must see the whole closed delta the store committed.
@@ -631,7 +608,7 @@ TEST_F(ViewCacheTest, SetOrientedDeletePublishesThroughTheStore) {
   ASSERT_TRUE(store->Delete(ds_.bar, all).ok());
   EXPECT_TRUE(store->instance().objects(ds_.bar).empty());
 
-  auto read = cache.Read("frequents");
+  auto read = cache.Query(ra::Rel("Df"));
   ASSERT_TRUE(read.ok());
   EXPECT_EQ((*read)->size(), 0u);
   EXPECT_TRUE(**read == Oracle(ra::Rel("Df"), store->instance()));
@@ -641,18 +618,10 @@ TEST_F(ViewCacheTest, SetOrientedDeletePublishesThroughTheStore) {
 
 class DurableCacheTest : public ViewCacheTest {
  protected:
-  /// Registers the standard views and returns the ones the store tests
-  /// read back.
-  void RegisterViews(ViewCache& cache) {
-    for (const NamedView& v : MakeTestViews()) {
-      ASSERT_TRUE(cache.Register(v.name, v.expr).ok()) << v.name;
-    }
-  }
-
   void ExpectViewsMatch(ViewCache& cache, const Instance& instance,
                         const std::string& label) {
     for (const NamedView& v : MakeTestViews()) {
-      auto read = cache.Read(v.name);
+      auto read = cache.Query(v.expr);
       ASSERT_TRUE(read.ok()) << label << ": " << v.name;
       EXPECT_TRUE(**read == Oracle(v.expr, instance))
           << label << ": view " << v.name
@@ -672,7 +641,6 @@ class DurableCacheTest : public ViewCacheTest {
 TEST_F(DurableCacheTest, CommitsPublishAfterFsyncAndReopenReprimes) {
   const std::string dir = MakeTempDir("clean");
   ViewCache cache(&ds_.schema);
-  RegisterViews(cache);
   DurableStoreOptions options;
   options.view_cache = &cache;
   Instance committed(&ds_.schema);
@@ -700,7 +668,6 @@ TEST_F(DurableCacheTest, TornCommitNeverReachesTheCache) {
   // Seed = storage ops 1 (append) and 2 (sync); the update's append is op 3.
   const std::string dir = MakeTempDir("torn");
   ViewCache cache(&ds_.schema);
-  RegisterViews(cache);
   FaultInjector inj = FaultInjector::TornWriteAt(3, 5);
   DurableStoreOptions options;
   options.view_cache = &cache;
@@ -739,7 +706,6 @@ TEST_F(DurableCacheTest, PartialFsyncNeverReachesTheCache) {
   // fails — publication must not have happened in between.
   const std::string dir = MakeTempDir("fsync");
   ViewCache cache(&ds_.schema);
-  RegisterViews(cache);
   FaultInjector inj = FaultInjector::PartialFsyncAt(4);
   DurableStoreOptions options;
   options.view_cache = &cache;
@@ -768,7 +734,6 @@ TEST_F(DurableCacheTest, PartialFsyncNeverReachesTheCache) {
 TEST_F(DurableCacheTest, BatchFaultRollsBackWithNothingPublished) {
   const std::string dir = MakeTempDir("batch");
   ViewCache cache(&ds_.schema);
-  RegisterViews(cache);
   // Seed consumes ops 1-2; the batch appends at 3 and 4 — tear the second.
   FaultInjector inj = FaultInjector::TornWriteAt(4, 3);
   DurableStoreOptions options;
@@ -795,7 +760,6 @@ TEST_F(DurableCacheTest, BatchFaultRollsBackWithNothingPublished) {
 TEST_F(DurableCacheTest, SuccessfulBatchPublishesEveryStagedDelta) {
   const std::string dir = MakeTempDir("batchok");
   ViewCache cache(&ds_.schema);
-  RegisterViews(cache);
   DurableStoreOptions options;
   options.view_cache = &cache;
   auto store =
@@ -818,9 +782,8 @@ TEST_F(ViewCacheTest, ConcurrentReadsDuringDeltaFeedsStayWellFormed) {
   Instance instance = Generate(17);
   ViewCache cache(&ds_.schema);
   ASSERT_TRUE(cache.Prime(instance).ok());
-  ASSERT_TRUE(cache.Register("frequents", ra::Rel("Df")).ok());
-  ASSERT_TRUE(cache.Register("patrons",
-                             ra::Project(ra::Rel("Df"), {"D"})).ok());
+  const ExprPtr frequents = ra::Rel("Df");
+  const ExprPtr patrons = ra::Project(ra::Rel("Df"), {"D"});
 
   std::atomic<bool> done{false};
   std::thread writer([&] {
@@ -835,7 +798,7 @@ TEST_F(ViewCacheTest, ConcurrentReadsDuringDeltaFeedsStayWellFormed) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&, r] {
       while (!done.load()) {
-        auto read = cache.Read(r % 2 == 0 ? "frequents" : "patrons");
+        auto read = cache.Query(r % 2 == 0 ? frequents : patrons);
         ASSERT_TRUE(read.ok());
         // Copy-on-write: the snapshot stays valid and internally
         // consistent while refreshes proceed underneath it.
@@ -848,7 +811,7 @@ TEST_F(ViewCacheTest, ConcurrentReadsDuringDeltaFeedsStayWellFormed) {
   writer.join();
   for (std::thread& t : readers) t.join();
 
-  auto read = cache.Read("frequents");
+  auto read = cache.Query(frequents);
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(**read == Oracle(ra::Rel("Df"), instance));
 }

@@ -347,6 +347,36 @@ TEST(SetOrientedUpdateFormsTest, AnalyzeTakesPhaseOneFromTheViewCache) {
   EXPECT_EQ(plan.counters, LogicalCounters(statement_metrics));
 }
 
+TEST(SetOrientedUpdateFormsTest, FromScratchPhaseOneRunsOnTheGivenBackend) {
+  // Without a view cache, phase one evaluates the receiver query on
+  // options.backend. The backends agree on the result but not on the
+  // context's steps: the vectorized engine charges rows once per batch,
+  // the interpreter once per row.
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  Instance db(&ds.schema);
+  ASSERT_NO_FATAL_FAILURE(BuildServiceTenant(ds, db));
+  const ExprPtr query = ServiceUpdateQuery();
+
+  Instance interpreted = db;
+  ExecContext interpreter_ctx;
+  ASSERT_TRUE(SetOrientedUpdateInPlace(
+                  interpreted, ds.frequents, query,
+                  {.ctx = &interpreter_ctx,
+                   .backend = ExecBackend::kInterpreter})
+                  .ok());
+  Instance vectorized = db;
+  ExecContext vectorized_ctx;
+  ASSERT_TRUE(SetOrientedUpdateInPlace(
+                  vectorized, ds.frequents, query,
+                  {.ctx = &vectorized_ctx,
+                   .backend = ExecBackend::kVectorized})
+                  .ok());
+
+  EXPECT_FALSE(interpreted == db);
+  EXPECT_TRUE(vectorized == interpreted);
+  EXPECT_LT(vectorized_ctx.steps(), interpreter_ctx.steps());
+}
+
 TEST(SetOrientedUpdateFormsTest, EngineEntryPointsOnlyReadTheViewCache) {
   // Publishing a committed delta belongs to the durable store alone: an
   // engine entry point handed a cache may read from it but never feeds it.
