@@ -63,7 +63,7 @@ void BM_SequenceLength(benchmark::State& state) {
   Workload w = BuildWorkload(64, static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     Result<Instance> out = ApplySequence(*w.add_bar, w.instance, w.receivers,
-                                         benchobs::ObsContext());
+                                         benchobs::ObsOptions());
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -1,7 +1,8 @@
 // Experiment E21 — multi-core scaling of parallel application. Three
 // curves over the Section 7 payroll workload, |T| = 2^3 ... 2^12:
 //
-//   * Sequential        — ApplySequence: one E evaluation per receiver.
+//   * Sequential        — ApplySequence: one encoding per sequence, the
+//                         receiver-dependent part of E per receiver.
 //   * Parallel/1 shard  — the classic M_par path: one rec relation, one
 //                         par(E) evaluation per statement, single thread.
 //   * Parallel/N shards — the sharded runtime on a persistent ThreadPool
@@ -63,7 +64,7 @@ void BM_Sequential(benchmark::State& state) {
   Workload w = BuildWorkload(state.range(0));
   for (auto _ : state) {
     Result<Instance> out = ApplySequence(*w.method, w.instance, w.receivers,
-                                         benchobs::ObsContext());
+                                         benchobs::ObsOptions());
     if (!out.ok()) state.SkipWithError("sequential application failed");
     benchmark::DoNotOptimize(out);
   }

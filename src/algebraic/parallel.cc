@@ -392,7 +392,7 @@ Result<Fanout> EvaluatePipelines(const MethodContext& mctx,
   {
     TraceSpan prepare_span = StartSpan(ctx, "parallel/prepare");
     for (const ExprPtr& par_expr : par_exprs) {
-      SETREC_RETURN_IF_ERROR(prepared.Hoist(par_expr, kRecRelation));
+      SETREC_RETURN_IF_ERROR(prepared.Hoist(par_expr, {kRecRelation}));
     }
   }
   prepared.set_node_stats(nullptr);

@@ -33,10 +33,13 @@ Result<Catalog> ParCatalog(const MethodContext& context);
 /// (Lemma 6.7). The result scheme is self followed by E's other attributes.
 ///
 /// Definition 6.1 threads a copy of the receiving object through every
-/// operator — each object relation R becomes π_self(rec) × R — so a table
-/// that does not depend on the receiver is rebuilt once per receiver. This
-/// rewrite leaves every subterm C that mentions neither self nor any arg_i
-/// untouched instead:
+/// operator — each object relation R becomes π_self(rec) × R — so, applied
+/// literally, it builds a table that does not depend on the receiver once
+/// per receiver. This rewrite leaves every subterm C that mentions neither
+/// self nor any arg_i untouched instead, and the prepare step below
+/// evaluates it once (sequential application evaluates once per sequence
+/// those of them that read no relation the method writes;
+/// AlgebraicUpdateMethod::FoldSequence):
 ///   * self becomes π_self(rec), arg_i becomes π_{self,arg_i}(rec);
 ///   * par(E1 × C) = par(E1) × C, with the σ-chain over the product put
 ///     back directly on top (the join stays fused) and C on the build side,

@@ -13,7 +13,8 @@ namespace {
 Result<std::optional<Instance>> RunEnumeration(
     const UpdateMethod& method, const Instance& instance,
     std::span<const Receiver> sequence, ExecContext& ctx) {
-  Result<Instance> r = ApplySequence(method, instance, sequence, ctx);
+  Result<Instance> r =
+      ApplySequence(method, instance, sequence, {.ctx = &ctx});
   if (!r.ok()) {
     if (IsGovernanceError(r.status())) return r.status();
     return std::optional<Instance>();
@@ -32,21 +33,11 @@ bool SameOutcome(const std::optional<Instance>& a,
 Result<Instance> ApplySequence(const UpdateMethod& method,
                                const Instance& instance,
                                std::span<const Receiver> sequence,
-                               ExecContext& ctx) {
+                               const ExecOptions& options) {
+  ExecScope scope(options);
+  ExecContext& ctx = scope.ctx();
   TraceSpan span = StartSpan(ctx, "sequential/apply");
-  MetricsRegistry* metrics = ctx.metrics();
-  Instance current = instance;
-  for (const Receiver& t : sequence) {
-    SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sequential/receiver"));
-    if (metrics != nullptr) metrics->engine.sequential_receivers.Add(1);
-    if (!t.IsValidOver(method.signature(), current)) {
-      return Status::FailedPrecondition(
-          "sequence is undefined: receiver not valid over intermediate "
-          "instance");
-    }
-    SETREC_ASSIGN_OR_RETURN(current, method.Apply(current, t, ctx));
-  }
-  return current;
+  return method.FoldSequence(instance, sequence, ctx, options.backend);
 }
 
 std::vector<Receiver> CanonicalReceiverSet(
@@ -151,7 +142,8 @@ Result<Instance> SequentialApply(const UpdateMethod& method,
           "M_seq is ill-defined");
     }
   }
-  return ApplySequence(method, instance, set, ctx);
+  return ApplySequence(method, instance, set,
+                       {.ctx = &ctx, .backend = options.backend});
 }
 
 }  // namespace setrec

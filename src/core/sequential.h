@@ -17,12 +17,15 @@ namespace setrec {
 /// Applies M to a *sequence* of distinct receivers: M(I, t1 ... tn) =
 /// M(M(I, t1), t2, ..., tn) (Section 3). The value is undefined (an error
 /// status is returned) as soon as some ti is not a receiver over the evolving
-/// instance or M itself fails. `ctx` governs the per-receiver loop and each
-/// M(I, ti) (UpdateMethod::Apply).
+/// instance or M itself fails. Runs the method's UpdateMethod::FoldSequence
+/// under the options' context, which governs the per-receiver loop and
+/// each M(I, ti), on the options' backend: an algebraic method encodes the
+/// instance once per sequence and maintains the encoding from each step's
+/// delta.
 Result<Instance> ApplySequence(const UpdateMethod& method,
                                const Instance& instance,
                                std::span<const Receiver> sequence,
-                               ExecContext& ctx = ExecContext::Default());
+                               const ExecOptions& options = {});
 
 /// Outcome of testing Definition 3.1 on a concrete pair (I, T).
 struct OrderIndependenceOutcome {
@@ -70,7 +73,8 @@ Result<OrderIndependenceOutcome> PairwiseOrderIndependentOn(
     ExecContext& ctx = ExecContext::Default());
 
 /// Sequential application M_seq(I, T) (Definition 3.1): picks an arbitrary
-/// (here: sorted) enumeration of T under the options' context. When
+/// (here: sorted) enumeration of T and runs ApplySequence under the
+/// options' context, on the options' backend. When
 /// `verify_order_independence` is set, first runs the exhaustive test and
 /// fails with FailedPrecondition if M is not order independent on (I, T).
 Result<Instance> SequentialApply(const UpdateMethod& method,

@@ -3,9 +3,11 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
+#include "core/exec_backend.h"
 #include "core/exec_context.h"
 #include "core/instance.h"
 #include "core/receiver.h"
@@ -43,11 +45,33 @@ class UpdateMethod {
       const Instance& instance, const Receiver& receiver,
       ExecContext& ctx = ExecContext::Default()) const = 0;
 
+  /// Computes M(instance, t1 ... tn) = M(M(instance, t1), t2 ... tn), the
+  /// fold that defines sequential application (Section 3); ApplySequence
+  /// (core/sequential.h) calls it. Each step runs SequenceStep first. The
+  /// base body calls Apply once per receiver. An override may share work
+  /// across the steps (AlgebraicUpdateMethod encodes the instance once),
+  /// but returns what the base body returns: the same instance, and the
+  /// same status when the sequence is undefined or M fails (doing less
+  /// work, it may exhaust a budget later or not at all). Relational
+  /// evaluation runs on `backend`; the base body, which evaluates nothing
+  /// itself, ignores it.
+  virtual Result<Instance> FoldSequence(const Instance& instance,
+                                        std::span<const Receiver> sequence,
+                                        ExecContext& ctx,
+                                        ExecBackend backend) const;
+
  protected:
   /// Standard guard shared by implementations: fails unless `receiver` is a
   /// receiver over `instance` of this method's type.
   Status CheckReceiver(const Instance& instance,
                        const Receiver& receiver) const;
+
+  /// The guard of one step of a sequence, run before M(current, receiver):
+  /// a "sequential/receiver" checkpoint, one `sequential.receivers` count,
+  /// and FailedPrecondition ("sequence is undefined") unless `receiver` is
+  /// a receiver over the intermediate instance `current`.
+  Status SequenceStep(const Instance& current, const Receiver& receiver,
+                      ExecContext& ctx) const;
 
  private:
   MethodSignature signature_;

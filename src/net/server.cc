@@ -888,12 +888,13 @@ void Server::CaptureSlowRequest(Tenant& tenant, const Request& request,
     // one the way it served the request itself.
     const ExecOptions exec{.ctx = &ctx,
                            .view_cache = tenant.view_cache.get()};
-    std::uint64_t sequence = 0;
-    const Instance state = tenant.store->SnapshotState(&sequence);
     if (request.op == "query") {
       SETREC_ASSIGN_OR_RETURN(ExprPtr expr, ParseExpression(request.body));
-      SETREC_ASSIGN_OR_RETURN(Database database, EncodeInstance(state));
-      return ExplainExpressionAnalyze(expr, database, exec);
+      // The state is copied and encoded only when the view cache cannot
+      // serve the read.
+      return ExplainExpressionAnalyze(
+          expr, [&] { return EncodeInstance(tenant.store->SnapshotState()); },
+          exec);
     }
     if (request.op == "update") {
       const auto property_it = request.params.find("property");
@@ -904,8 +905,8 @@ void Server::CaptureSlowRequest(Tenant& tenant, const Request& request,
                               options_.schema->FindProperty(
                                   property_it->second));
       SETREC_ASSIGN_OR_RETURN(ExprPtr expr, ParseExpression(request.body));
-      return ExplainSetOrientedUpdate(state, property, expr,
-                                      /*analyze=*/true, exec);
+      return ExplainSetOrientedUpdate(tenant.store->SnapshotState(), property,
+                                      expr, /*analyze=*/true, exec);
     }
     return Status::Unimplemented("no plan for op '" + request.op + "'");
   }();

@@ -160,7 +160,7 @@ Result<PlanNode> BuildPlan(
     const std::unordered_map<const Expr*, EvalNodeStats>* stats,
     bool par = false) {
   SETREC_ASSIGN_OR_RETURN(Plan plan, Plan::Build(*expr, schemes));
-  const Plan::Hoisting hoisting = par ? plan.Hoist(kRecRelation)
+  const Plan::Hoisting hoisting = par ? plan.Hoist({kRecRelation})
                                       : Plan::Hoisting();
   return RenderPlan(plan, plan.size() - 1, stats, par ? &hoisting : nullptr);
 }
@@ -296,9 +296,9 @@ Result<ExplainPlan> ExplainExpression(const ExprPtr& expr,
   return plan;
 }
 
-Result<ExplainPlan> ExplainExpressionAnalyze(const ExprPtr& expr,
-                                             const Database& database,
-                                             const ExecOptions& options) {
+Result<ExplainPlan> ExplainExpressionAnalyze(
+    const ExprPtr& expr, const std::function<Result<Database>()>& database,
+    const ExecOptions& options) {
   MetricsRegistry local_metrics;
   ExecOptions opts = options;
   if (opts.metrics == nullptr) opts.metrics = &local_metrics;
@@ -314,13 +314,11 @@ Result<ExplainPlan> ExplainExpressionAnalyze(const ExprPtr& expr,
   if (view.has_value()) {
     const std::uint64_t read_ns = ElapsedNs(start);
     // No operator of the expression ran: the cache answered from its
-    // incrementally maintained view.
-    SETREC_ASSIGN_OR_RETURN(PlanNode operators,
-                            BuildPlan(expr, database, nullptr));
+    // incrementally maintained view, whose scheme is the expression's.
     PlanNode read;
     read.op = "ViewRead";
     read.detail = "served by the incremental view cache";
-    read.scheme = operators.scheme;
+    read.scheme = RenderScheme((*view)->scheme());
     read.analyzed = true;
     read.actual_rows = (*view)->size();
     read.wall_ns = read_ns;
@@ -329,11 +327,12 @@ Result<ExplainPlan> ExplainExpressionAnalyze(const ExprPtr& expr,
     return plan;
   }
 
-  Evaluator evaluator(&database, {.ctx = &ctx, .backend = opts.backend});
+  SETREC_ASSIGN_OR_RETURN(const Database db, database());
+  Evaluator evaluator(&db, {.ctx = &ctx, .backend = opts.backend});
   std::unordered_map<const Expr*, EvalNodeStats> stats;
   evaluator.set_node_stats(&stats);
   SETREC_RETURN_IF_ERROR(evaluator.Eval(expr).status());
-  SETREC_ASSIGN_OR_RETURN(PlanNode root, BuildPlan(expr, database, &stats));
+  SETREC_ASSIGN_OR_RETURN(PlanNode root, BuildPlan(expr, db, &stats));
   plan.roots.push_back(std::move(root));
   plan.counters = LogicalCounters(*ctx.metrics());
   return plan;

@@ -2,6 +2,7 @@
 #define SETREC_OBS_EXPLAIN_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -88,14 +89,16 @@ Result<ExplainPlan> ExplainExpression(const ExprPtr& expr,
 /// When options.view_cache can serve `expr` (CachedRead: a governance stop
 /// propagates, any other cache error falls back), the plan is one ViewRead
 /// node with the read's rows and wall time and no operator children — no
-/// operator ran. Otherwise evaluates `expr` against `database` under the options'
-/// sinks and annotates every operator with actual rows, join build/probe
-/// counts, memo hits and wall time. When the effective context has no
-/// metrics registry, a private one is used, so `counters` is always
-/// populated.
-Result<ExplainPlan> ExplainExpressionAnalyze(const ExprPtr& expr,
-                                             const Database& database,
-                                             const ExecOptions& options = {});
+/// operator ran — and `database` is never called. Otherwise evaluates
+/// `expr` against the database `database()` makes (a caller holding one
+/// passes `[&] { return db; }`; the server snapshots and encodes only
+/// here) under the options' sinks and annotates every operator with actual
+/// rows, join build/probe counts, memo hits and wall time. When the
+/// effective context has no metrics registry, a private one is used, so
+/// `counters` is always populated.
+Result<ExplainPlan> ExplainExpressionAnalyze(
+    const ExprPtr& expr, const std::function<Result<Database>()>& database,
+    const ExecOptions& options = {});
 
 /// EXPLAIN [ANALYZE] for the Section 7 set-oriented UPDATE: renders the
 /// two-phase pipeline — the receiver query evaluated against the

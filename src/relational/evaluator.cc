@@ -78,7 +78,8 @@ Result<std::shared_ptr<const Relation>> Evaluator::EvalShared(
   return Exec(plan, plan.root());
 }
 
-Status Evaluator::Hoist(const ExprPtr& expr, const std::string& varying) {
+Status Evaluator::Hoist(const ExprPtr& expr,
+                        const std::set<std::string>& varying) {
   SETREC_ASSIGN_OR_RETURN(Plan plan, Plan::Build(*expr, *database_));
   roots_.insert(expr);
   const Plan::Hoisting hoisting = plan.Hoist(varying);

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -68,9 +69,11 @@ class Evaluator {
   /// A `parent` is a frozen evaluator that has run Hoist: this evaluator
   /// takes the parent's memoized results and join builds instead of
   /// recomputing them, and runs on the backend the parent latched
-  /// (options.backend is ignored). Children read the parent without locks,
-  /// from any thread, so the parent must outlive them and must not evaluate
-  /// anything while they exist.
+  /// (options.backend is ignored). `database` must agree with the parent's
+  /// on every relation outside the hoist's varying set; the varying ones
+  /// may hold anything of the same scheme. Children read the parent without
+  /// locks, from any thread, so the parent must outlive them and must not
+  /// evaluate anything while they exist.
   explicit Evaluator(const Database* database, const ExecOptions& options = {},
                      const Evaluator* parent = nullptr);
 
@@ -91,15 +94,18 @@ class Evaluator {
   /// lookup plus a refcount bump, never a deep copy.
   Result<std::shared_ptr<const Relation>> EvalShared(const ExprPtr& expr);
 
-  /// The prepare step of a fan-out over slices of relation `varying`: plans
-  /// `expr` and computes what Plan::Hoist finds can be computed once —
-  /// every maximal subterm that does not scan `varying`, and the hash
-  /// table of every fused join that scans it on its probe (left) side
-  /// only. Children of this evaluator then compute only what scans
-  /// `varying`, so the logical counters of the parent plus its children do
-  /// not depend on how `varying` was sliced. Latches kAuto on this
-  /// evaluator's (full) inputs.
-  Status Hoist(const ExprPtr& expr, const std::string& varying);
+  /// The prepare step of repeated evaluations in which only the relations
+  /// in `varying` change: plans `expr` and computes what Plan::Hoist finds
+  /// can be computed once — every maximal subterm that scans no `varying`
+  /// relation, and the hash table of every fused join that scans them on
+  /// its probe (left) side only. Children of this evaluator then compute
+  /// only what scans `varying`, each against its own contents of those
+  /// relations. A fan-out over slices of `rec` passes {rec}, so the
+  /// logical counters of the parent plus its children do not depend on how
+  /// rec was sliced; a receiver sequence passes the receiver relations and
+  /// the relations its method writes. Latches kAuto on this evaluator's
+  /// inputs.
+  Status Hoist(const ExprPtr& expr, const std::set<std::string>& varying);
 
   /// Attaches a per-node statistics sink (borrowed; may be null to detach).
   /// While attached, every Eval records output rows, join build/probe

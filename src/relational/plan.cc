@@ -248,14 +248,14 @@ Result<Plan> Plan::Build(const Expr& root, const Database& database) {
   return Builder(nullptr, &database).Run(root);
 }
 
-Plan::Hoisting Plan::Hoist(const std::string& varying) const {
+Plan::Hoisting Plan::Hoist(const std::set<std::string>& varying) const {
   Hoisting out;
   out.scans.assign(nodes_.size(), false);
   std::vector<bool> feeds(nodes_.size(), false);  // input of a scanning op
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& n = nodes_[i];
     if (n.kind == Kind::kScan) {
-      out.scans[i] = n.origin->relation_name() == varying;
+      out.scans[i] = varying.contains(n.origin->relation_name());
       continue;
     }
     const bool binary = n.kind == Kind::kUnion ||

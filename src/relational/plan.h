@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -104,20 +105,24 @@ class Plan {
     return base_relations_;
   }
 
-  /// What a fan-out over slices of base relation `varying` can compute
-  /// once, before the fan-out (Evaluator::Hoist does; EXPLAIN shows it).
+  /// What can be computed once when the base relations in `varying` change
+  /// between evaluations and every other relation stays fixed
+  /// (Evaluator::Hoist does; EXPLAIN shows it). Two consumers: a fan-out
+  /// over slices of `rec` (ParallelApply passes {rec}), and a receiver
+  /// sequence, whose steps change the receiver relations and the relations
+  /// of the properties the method writes (AlgebraicUpdateMethod).
   struct Hoisting {
-    /// Per node (indexed like nodes()): whether its subterm scans
-    /// `varying`, i.e. must be computed per slice.
+    /// Per node (indexed like nodes()): whether its subterm scans a
+    /// `varying` relation, i.e. must be computed per evaluation.
     std::vector<bool> scans;
-    /// The maximal subterms that do not scan `varying` — inputs of
+    /// The maximal subterms that scan no `varying` relation — inputs of
     /// operators that do, or the root itself — in plan order.
     std::vector<std::size_t> once;
-    /// The joins that scan `varying` on their probe (left) side only: their
-    /// hash table over the right side can be built once.
+    /// The joins that scan `varying` relations on their probe (left) side
+    /// only: their hash table over the right side can be built once.
     std::vector<std::size_t> builds;
   };
-  Hoisting Hoist(const std::string& varying) const;
+  Hoisting Hoist(const std::set<std::string>& varying) const;
 
   /// Whether the compiled vectorized backend lowers every operator.
   bool vectorizable() const { return vectorizable_; }

@@ -35,8 +35,19 @@ std::vector<const Tuple*> Relation::SortedTuples() const {
 }
 
 void Database::Put(std::string name, Relation relation) {
-  relations_.insert_or_assign(
-      std::move(name), std::make_shared<const Relation>(std::move(relation)));
+  relations_.insert_or_assign(std::move(name),
+                              std::make_shared<Relation>(std::move(relation)));
+}
+
+Result<Relation*> Database::Mutable(std::string_view name) {
+  auto it = relations_.find(name);
+  if (it == relations_.end()) {
+    return Status::NotFound("no relation named " + std::string(name));
+  }
+  if (it->second.use_count() > 1) {
+    it->second = std::make_shared<Relation>(*it->second);
+  }
+  return it->second.get();
 }
 
 bool Database::Has(std::string_view name) const {
@@ -57,7 +68,7 @@ Result<std::shared_ptr<const Relation>> Database::FindShared(
   if (it == relations_.end()) {
     return Status::NotFound("no relation named " + std::string(name));
   }
-  return it->second;
+  return std::shared_ptr<const Relation>(it->second);
 }
 
 std::vector<std::string> Database::Names() const {

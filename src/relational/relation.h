@@ -143,16 +143,24 @@ class Relation {
 /// A relational database instance: named relations. The object-relational
 /// encoding produces one; update expressions are evaluated against one.
 ///
-/// Relations are held behind shared immutable storage, so copying a
-/// Database is O(#relations) regardless of data size — the sharded
-/// parallel-application runtime gives every worker its own Database (base
-/// relations shared read-only, plus that worker's `rec` shard) without
-/// duplicating the encoded instance. Put never mutates a stored relation in
-/// place, which is what makes the sharing thread-safe.
+/// Relations are held behind shared storage, so copying a Database is
+/// O(#relations) regardless of data size — the sharded parallel-application
+/// runtime gives every worker its own Database (base relations shared
+/// read-only, plus that worker's `rec` shard) without duplicating the
+/// encoded instance. Put never mutates a stored relation in place, and
+/// Mutable clones a relation before handing it out while anyone else shares
+/// it, which is what makes the sharing thread-safe.
 class Database {
  public:
   /// Installs (or replaces) a relation under `name`.
   void Put(std::string name, Relation relation);
+
+  /// In-place access to the relation under `name`, for maintaining it from
+  /// a delta in O(|delta|). Copy-on-write: while another reader still
+  /// shares the stored relation (a copy of this Database, a FindShared
+  /// handle, an evaluator's memo), it is cloned first, so every reader
+  /// keeps the contents it took.
+  Result<Relation*> Mutable(std::string_view name);
 
   bool Has(std::string_view name) const;
   Result<const Relation*> Find(std::string_view name) const;
@@ -170,8 +178,7 @@ class Database {
   friend bool operator==(const Database& a, const Database& b);
 
  private:
-  std::map<std::string, std::shared_ptr<const Relation>, std::less<>>
-      relations_;
+  std::map<std::string, std::shared_ptr<Relation>, std::less<>> relations_;
 };
 
 }  // namespace setrec

@@ -135,7 +135,7 @@ Result<Instance> CursorUpdate(const AlgebraicUpdateMethod& method,
                               std::span<const Receiver> order,
                               ExecContext& ctx) {
   TraceSpan span = StartSpan(ctx, "sql/cursor-update");
-  return ApplySequence(method, instance, order, ctx);
+  return ApplySequence(method, instance, order, {.ctx = &ctx});
 }
 
 Result<MethodSignature> AssignArgSignature(const Schema& schema,

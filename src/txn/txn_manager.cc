@@ -410,10 +410,9 @@ Status TxnManager::Apply(const AlgebraicUpdateMethod& method,
   Note("txn/admit-mvcc", receivers.size());
   return RunWithRetries("method txn", [&] {
     return AttemptMvcc([&](Instance& instance, ExecContext& ctx) -> Status {
-      ExecOptions opts;
-      opts.ctx = &ctx;
       SETREC_ASSIGN_OR_RETURN(
-          Instance after, SequentialApply(method, instance, receivers, opts));
+          Instance after,
+          SequentialApply(method, instance, receivers, {.ctx = &ctx}));
       instance = std::move(after);
       return Status::OK();
     });

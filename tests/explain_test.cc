@@ -463,7 +463,8 @@ TEST(ExplainAnalyzeTest, PartitionedProbeKeepsLogicalCountsExact) {
   db.Put("S", std::move(s));
   const ExprPtr join = ra::JoinEq(ra::Rel("R"), ra::Rel("S"), "b", "c");
 
-  ExplainPlan base = std::move(ExplainExpressionAnalyze(join, db)).value();
+  ExplainPlan base =
+      std::move(ExplainExpressionAnalyze(join, [&] { return db; })).value();
   ASSERT_EQ(base.roots.size(), 1u);
   EXPECT_EQ(base.roots[0].op, "HashJoin");
   EXPECT_EQ(base.roots[0].probe_rows, 2048u);

@@ -1280,6 +1280,34 @@ TEST_F(NetServiceTest, SlowQueryLogsTheViewCacheServedRead) {
   EXPECT_EQ(query.find("\"op\":\"Scan"), std::string::npos) << query;
 }
 
+TEST_F(NetServiceTest, SlowQueryOnACacheMissLogsAFromScratchPlan) {
+  // Without a view cache to serve the read, the slow log snapshots and
+  // encodes the state and logs the operator tree evaluated from scratch.
+  TenantConfig slow = Tenant("acme");
+  slow.incremental_views = false;
+  slow.slow_request_threshold = std::chrono::nanoseconds(1);
+  const std::string dir = MakeTempDir("srv");
+  auto server = MakeServer(dir, {slow});
+  Client client(ClientOptions(server.get(), "acme"));
+  MustOk(client.ApplyDelta(
+      "delta { add object A(1); add object A(2); add object B(5); }"));
+  MustOk(client.Update("f", "product(A, B)"));
+  Response rows = MustOk(client.Query("Af"));
+  EXPECT_EQ(rows.body, "A(1) B(5)\nA(2) B(5)\n");
+
+  std::ifstream in(std::filesystem::path(dir) / "acme" / "slowlog.jsonl");
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(in, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u);  // the delta, the update and the query
+  const std::string& query = lines[2];
+  EXPECT_NE(query.find("\"op\":\"query\""), std::string::npos);
+  EXPECT_NE(query.find("\"analyzed\":true"), std::string::npos);
+  EXPECT_NE(query.find("\"op\":\"Scan Af\""), std::string::npos) << query;
+  EXPECT_NE(query.find("\"rows\":2"), std::string::npos) << query;
+  EXPECT_EQ(query.find("ViewRead"), std::string::npos) << query;
+}
+
 TEST_F(NetServiceTest, UpdatePublishesItsDeltaOnce) {
   // The durable store is the only publisher of committed deltas: each
   // committed request reaches the tenant's view cache exactly once.

@@ -414,7 +414,8 @@ TEST(ObsDeterminismTest, SequentialApplyReportsReceiversAndSpans) {
   ExecContext ctx;
   ctx.set_tracer(&tracer);
   ctx.set_metrics(&metrics);
-  ASSERT_TRUE(ApplySequence(*w.method, w.instance, w.receivers, ctx).ok());
+  ASSERT_TRUE(
+      ApplySequence(*w.method, w.instance, w.receivers, {.ctx = &ctx}).ok());
   EXPECT_EQ(metrics.engine.sequential_receivers.value(), w.receivers.size());
   // Each M(I, t) evaluates under the caller's context, so its joins are
   // charged to the caller's registry.

@@ -2,7 +2,9 @@
 // the parallel-application oracles: the hoisting par(E) rewrite against the
 // literal Definition 6.1 rewrite, M_par against M_seq on key sets
 // (Theorem 6.5), and the interpreter against the vectorized backend at
-// 1/2/8 workers with equal logical counters. Every method is generated in
+// 1/2/8 workers with equal logical counters; and, with methods that may
+// read the relation they write, sequential application over a maintained
+// encoding against re-encoding per receiver. Every method is generated in
 // process from its seed; a failure names the seed and prints the method.
 
 #include <gtest/gtest.h>
@@ -35,9 +37,11 @@ struct Term {
 };
 
 /// Generates positive update expressions for one statement `a := E` of a
-/// method over `context`. E never reads the relation of the property `a`
-/// updates, so sequential application on a key set sees no receiver's
-/// update in another's expression, and Theorem 6.5 applies. The shapes
+/// method over `context`, from every relation but `forbidden`. Forbidding
+/// the relation of the property `a` updates means sequential application
+/// on a key set sees no receiver's update in another's expression, and
+/// Theorem 6.5 applies; with nothing forbidden, each step of a sequence may
+/// read what the earlier steps wrote. The shapes
 /// cover what the hoisting rewrite distinguishes: receiver-free operands on
 /// either side of a product, products of two receiver-dependent sides,
 /// σ-chains over products, π∅ guards, projections, unions mixing
@@ -189,9 +193,11 @@ class ExpressionGenerator {
 };
 
 /// A random single-statement method over `schema`: a receiving class with
-/// properties, one of its properties, zero to two arguments.
-std::unique_ptr<AlgebraicUpdateMethod> RandomMethod(const Schema& schema,
-                                                    SplitMix64& rng) {
+/// properties, one of its properties, zero to two arguments. Its expression
+/// reads the relation of the property it updates only when
+/// `may_read_target`.
+std::unique_ptr<AlgebraicUpdateMethod> RandomMethod(
+    const Schema& schema, SplitMix64& rng, bool may_read_target = false) {
   std::vector<PropertyId> properties;
   for (PropertyId p = 0; p < schema.num_properties(); ++p) {
     properties.push_back(p);
@@ -205,7 +211,8 @@ std::unique_ptr<AlgebraicUpdateMethod> RandomMethod(const Schema& schema,
   const MethodSignature signature(classes);
   MethodContext context =
       std::move(BuildMethodContext(&schema, signature)).value();
-  ExpressionGenerator gen(context, PropertyRelationName(schema, a), rng);
+  ExpressionGenerator gen(
+      context, may_read_target ? "" : PropertyRelationName(schema, a), rng);
   ExprPtr e = gen.Statement(schema.property(a).target);
   return std::move(AlgebraicUpdateMethod::Make(&schema, signature, "random",
                                                {UpdateStatement{a, e}}))
@@ -295,6 +302,38 @@ TEST_P(ParGeneratorTest, RandomMethodsSatisfyEveryParOracle) {
   InstanceGenerator payroll(&ps.schema, GetParam());
   const Instance staff = payroll.RandomInstance(options);
   CheckMethod(*RandomMethod(ps.schema, payroll.rng()), staff, payroll, pool);
+}
+
+TEST_P(ParGeneratorTest, RandomMethodsFoldAsTheLiteralSequence) {
+  // The maintained encoding of sequential application against re-encoding
+  // per receiver, on methods whose expression may read the relation their
+  // statement writes, over arbitrary receiver sets.
+  InstanceGenerator::Options options;
+  options.min_objects_per_class = 2;
+  options.max_objects_per_class = 4;
+  options.edge_probability = 0.4;
+
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  InstanceGenerator drinkers(&ds.schema, GetParam());
+  const Instance bars = drinkers.RandomInstance(options);
+  const auto bar_method = RandomMethod(ds.schema, drinkers.rng(), true);
+  EXPECT_EQ(SequenceMismatch(
+                *bar_method, bars,
+                drinkers.RandomReceiverSet(bars, bar_method->signature(), 10),
+                GetParam()),
+            "")
+      << bar_method->ToString();
+
+  PayrollSchema ps = std::move(MakePayrollSchema()).value();
+  InstanceGenerator payroll(&ps.schema, GetParam());
+  const Instance staff = payroll.RandomInstance(options);
+  const auto staff_method = RandomMethod(ps.schema, payroll.rng(), true);
+  EXPECT_EQ(SequenceMismatch(*staff_method, staff,
+                             payroll.RandomReceiverSet(
+                                 staff, staff_method->signature(), 10),
+                             GetParam()),
+            "")
+      << staff_method->ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParGeneratorTest,

@@ -1,10 +1,14 @@
 #include "par_literal.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "algebraic/parallel.h"
+#include "core/instance_generator.h"
+#include "core/printer.h"
+#include "core/sequential.h"
 #include "relational/builder.h"
 #include "relational/evaluator.h"
 
@@ -119,6 +123,88 @@ Result<Relation> EvaluateParOver(const ExprPtr& par_expr,
   SETREC_ASSIGN_OR_RETURN(Relation rec, RecRelation(rec_scheme, receivers));
   db.Put(kRecRelation, std::move(rec));
   return Evaluate(par_expr, db, {.backend = backend});
+}
+
+Result<Instance> LiteralApplySequence(const AlgebraicUpdateMethod& method,
+                                      const Instance& instance,
+                                      std::span<const Receiver> sequence,
+                                      ExecBackend backend, ExecContext& ctx) {
+  Instance current = instance;
+  for (const Receiver& t : sequence) {
+    SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sequential/receiver"));
+    if (!t.IsValidOver(method.signature(), current)) {
+      return Status::FailedPrecondition(
+          "sequence is undefined: receiver not valid over intermediate "
+          "instance");
+    }
+    SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(current));
+    SETREC_RETURN_IF_ERROR(InstallReceiverRelations(db, method.context(), t,
+                                                    /*primed=*/false));
+    Evaluator evaluator(&db, {.ctx = &ctx, .backend = backend});
+    std::vector<Relation> results;
+    for (const UpdateStatement& s : method.statements()) {
+      SETREC_ASSIGN_OR_RETURN(Relation r, evaluator.Eval(s.expression));
+      results.push_back(std::move(r));
+    }
+    Instance next = current;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const PropertyId property = method.statements()[i].property;
+      SETREC_RETURN_IF_ERROR(
+          next.ClearEdgesFrom(t.receiving_object(), property));
+      for (const Tuple& target : results[i]) {
+        SETREC_RETURN_IF_ERROR(
+            next.AddEdge(t.receiving_object(), property, target.at(0)));
+      }
+    }
+    current = std::move(next);
+  }
+  return current;
+}
+
+std::string SequenceMismatch(const AlgebraicUpdateMethod& method,
+                             const Instance& instance,
+                             std::span<const Receiver> receivers,
+                             std::uint64_t seed) {
+  std::vector<Receiver> given(receivers.begin(), receivers.end());
+  std::vector<Receiver> reversed(given.rbegin(), given.rend());
+  std::vector<Receiver> shuffled = given;
+  SplitMix64 rng(seed);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.UniformInt(i)]);
+  }
+  const std::pair<const char*, const std::vector<Receiver>*> orders[] = {
+      {"given", &given}, {"reversed", &reversed}, {"shuffled", &shuffled}};
+  for (const auto& [name, order] : orders) {
+    for (ExecBackend backend :
+         {ExecBackend::kInterpreter, ExecBackend::kVectorized}) {
+      const Result<Instance> maintained =
+          ApplySequence(method, instance, *order, {.backend = backend});
+      const Result<Instance> literal =
+          LiteralApplySequence(method, instance, *order, backend);
+      const std::string where = std::string(" (") + name + " order of " +
+                                std::to_string(order->size()) +
+                                " receivers, " + ExecBackendName(backend) +
+                                ")";
+      if (maintained.ok() != literal.ok()) {
+        return "one side failed: " +
+               (maintained.ok() ? literal.status() : maintained.status())
+                   .ToString() +
+               where;
+      }
+      if (!maintained.ok()) {
+        if (maintained.status().code() != literal.status().code() ||
+            maintained.status().message() != literal.status().message()) {
+          return "statuses differ: " + maintained.status().ToString() +
+                 " vs " + literal.status().ToString() + where;
+        }
+      } else if (!(*maintained == *literal)) {
+        return "instances differ" + where + ":\n" +
+               InstanceToString(*maintained) +
+               "vs\n" + InstanceToString(*literal);
+      }
+    }
+  }
+  return "";
 }
 
 }  // namespace setrec

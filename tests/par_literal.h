@@ -1,10 +1,14 @@
 #ifndef SETREC_TESTS_PAR_LITERAL_H_
 #define SETREC_TESTS_PAR_LITERAL_H_
 
+#include <cstdint>
 #include <span>
+#include <string>
 
+#include "algebraic/algebraic_method.h"
 #include "algebraic/update_expression.h"
 #include "core/exec_backend.h"
+#include "core/exec_context.h"
 #include "core/instance.h"
 #include "core/receiver.h"
 #include "relational/expression.h"
@@ -33,6 +37,29 @@ Result<Relation> EvaluateParOver(const ExprPtr& par_expr,
                                  const MethodContext& context,
                                  std::span<const Receiver> receivers,
                                  ExecBackend backend = ExecBackend::kAuto);
+
+/// M(I, t1 ... tn) step by step from scratch — the differential oracle for
+/// the maintained encoding of AlgebraicUpdateMethod::FoldSequence. Each
+/// step runs the sequence's guard (a "sequential/receiver" checkpoint and
+/// "sequence is undefined" unless the receiver is valid over the
+/// intermediate instance), re-encodes the whole intermediate instance
+/// (EncodeInstance), installs the receiver relations, evaluates every
+/// statement on a fresh Evaluator of `backend` under `ctx`, and replaces
+/// the receiving object's edges in a copy. Test-only: Θ(n·|I|).
+Result<Instance> LiteralApplySequence(
+    const AlgebraicUpdateMethod& method, const Instance& instance,
+    std::span<const Receiver> sequence,
+    ExecBackend backend = ExecBackend::kAuto,
+    ExecContext& ctx = ExecContext::Default());
+
+/// Runs ApplySequence against LiteralApplySequence on `receivers` in three
+/// orders (as given, reversed, and shuffled by `seed`) at both forced
+/// backends. Empty when every pair agrees — the same instance, or the same
+/// status code and message — else a description of the first mismatch.
+std::string SequenceMismatch(const AlgebraicUpdateMethod& method,
+                             const Instance& instance,
+                             std::span<const Receiver> receivers,
+                             std::uint64_t seed);
 
 }  // namespace setrec
 

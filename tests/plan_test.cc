@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -282,6 +283,95 @@ TEST(PlanTest, TypeErrorsSurfaceBeforeAnyWork) {
               StatusCode::kNotFound);
     EXPECT_EQ(metrics.engine.eval_rows.value(), 0u)
         << ExecBackendName(backend);
+  }
+}
+
+/// R(a, b) and S(c, d) as in TestDatabase, plus V(e, f) over P, each with
+/// two tuples; the `second` contents differ from the first in S and V only.
+Database HoistDatabase(bool second) {
+  Database db = TestDatabase();
+  const std::uint32_t k = second ? 1 : 0;
+  Relation s(MakeScheme({{"c", kP}, {"d", kP}}));
+  EXPECT_TRUE(s.Insert(Tuple{ObjectId(kP, 1), ObjectId(kP, k)}).ok());
+  EXPECT_TRUE(s.Insert(Tuple{ObjectId(kP, 0 + k), ObjectId(kP, 2)}).ok());
+  db.Put("S", std::move(s));
+  Relation v(MakeScheme({{"e", kP}, {"f", kP}}));
+  EXPECT_TRUE(v.Insert(Tuple{ObjectId(kP, 0), ObjectId(kP, 3 + k)}).ok());
+  EXPECT_TRUE(v.Insert(Tuple{ObjectId(kP, 2 - k), ObjectId(kP, 4)}).ok());
+  db.Put("V", std::move(v));
+  return db;
+}
+
+/// π(σ_{b=c}(R × S)) ∪ π(σ_{e=a}(V × R)) ∪ π(R) over one shared scan of
+/// R, each branch renamed to one attribute `out`; `probe_side` is the
+/// second branch's join.
+ExprPtr HoistExpression(ExprPtr* probe_side) {
+  ExprPtr r = ra::Rel("R");
+  ExprPtr rs = ra::SelectEq(ra::Product(r, ra::Rel("S")), "b", "c");
+  ExprPtr vr = ra::SelectEq(ra::Product(ra::Rel("V"), r), "e", "a");
+  *probe_side = vr;
+  return ra::Union(
+      ra::Union(ra::Rename(ra::Project(rs, {"d"}), "d", "out"),
+                ra::Rename(ra::Project(vr, {"f"}), "f", "out")),
+      ra::Rename(ra::Project(r, {"a"}), "a", "out"));
+}
+
+TEST(PlanTest, HoistNeverHoistsASubtermThatScansAnyVaryingRelation) {
+  ExprPtr probe_side;
+  const ExprPtr e = HoistExpression(&probe_side);
+  const Database db = HoistDatabase(false);
+  Plan plan = std::move(Plan::Build(*e, db)).value();
+  const std::set<std::string> varying = {"S", "V"};
+  const Plan::Hoisting both = plan.Hoist(varying);
+  const Plan::Hoisting s_only = plan.Hoist({"S"});
+  const Plan::Hoisting v_only = plan.Hoist({"V"});
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    bool scans = false;
+    for (const std::string& name : ReferencedRelations(*plan.node(i).origin)) {
+      scans = scans || varying.contains(name);
+    }
+    EXPECT_EQ(both.scans[i], scans) << "node " << i;
+    EXPECT_EQ(both.scans[i], s_only.scans[i] || v_only.scans[i]);
+  }
+  ASSERT_FALSE(both.once.empty());
+  for (std::size_t i : both.once) EXPECT_FALSE(both.scans[i]) << "node " << i;
+  // Scan R feeds both joins, and π(R)'s branch feeds the union that scans.
+  ASSERT_EQ(both.once.size(), 2u);
+  EXPECT_EQ(plan.node(both.once[0]).kind, Plan::Kind::kScan);
+  EXPECT_EQ(plan.node(both.once[1]).kind, Plan::Kind::kRename);
+  // Only V × R builds once: R × S scans S on its build side.
+  ASSERT_EQ(both.builds.size(), 1u);
+  EXPECT_EQ(plan.node(both.builds[0]).origin, probe_side.get());
+  EXPECT_TRUE(s_only.builds.empty());
+  EXPECT_EQ(v_only.builds, both.builds);
+}
+
+TEST(PlanTest, ChildrenOfAHoistReadTheVaryingRelationsOfTheirOwnDatabase) {
+  ExprPtr probe_side;
+  const ExprPtr e = HoistExpression(&probe_side);
+  const Database first = HoistDatabase(false);
+  const Database second = HoistDatabase(true);
+  for (ExecBackend backend :
+       {ExecBackend::kInterpreter, ExecBackend::kVectorized}) {
+    Evaluator parent(&first, {.backend = backend});
+    ASSERT_TRUE(parent.Hoist(e, {"S", "V"}).ok());
+    for (const Database* db : {&first, &second}) {
+      MetricsRegistry child_metrics;
+      Evaluator child(db, {.metrics = &child_metrics}, &parent);
+      Result<Relation> hoisted = child.Eval(e);
+      MetricsRegistry fresh_metrics;
+      Result<Relation> fresh =
+          Evaluate(e, *db, {.metrics = &fresh_metrics, .backend = backend});
+      ASSERT_TRUE(hoisted.ok()) << hoisted.status().message();
+      ASSERT_TRUE(fresh.ok()) << fresh.status().message();
+      EXPECT_TRUE(*hoisted == *fresh) << ExecBackendName(backend);
+      // The build over R (one row) was made once, by the parent.
+      EXPECT_EQ(child_metrics.engine.eval_join_build_rows.value() + 1,
+                fresh_metrics.engine.eval_join_build_rows.value())
+          << ExecBackendName(backend);
+    }
+    EXPECT_FALSE(std::move(Evaluate(e, first, {})).value() ==
+                 std::move(Evaluate(e, second, {})).value());
   }
 }
 

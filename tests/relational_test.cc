@@ -58,6 +58,27 @@ TEST_F(AlgebraTest, RelationInsertEnforcesTyping) {
   EXPECT_EQ(r.size(), 1u);
 }
 
+TEST_F(AlgebraTest, MutableClonesWhileAnotherReaderSharesTheRelation) {
+  std::shared_ptr<const Relation> taken = std::move(db_.FindShared("R")).value();
+  const Relation old = *taken;
+  const Database copy = db_;
+  Relation* r = std::move(db_.Mutable("R")).value();
+  ASSERT_TRUE(r->Insert(Tuple{P(2), Q(0)}).ok());
+  EXPECT_TRUE(r->Erase(Tuple{P(0), Q(0)}));
+  // The handle taken before the mutation, and the copy, keep what they took.
+  EXPECT_TRUE(*taken == old);
+  EXPECT_TRUE(*std::move(copy.Find("R")).value() == old);
+  const Relation* now = std::move(db_.Find("R")).value();
+  EXPECT_EQ(now, r);
+  EXPECT_TRUE(now->Contains(Tuple{P(2), Q(0)}));
+  EXPECT_FALSE(now->Contains(Tuple{P(0), Q(0)}));
+  EXPECT_EQ(now->size(), old.size());
+  // With no other reader left, access is in place.
+  taken.reset();
+  EXPECT_EQ(std::move(db_.Mutable("R")).value(), r);
+  EXPECT_EQ(db_.Mutable("missing").status().code(), StatusCode::kNotFound);
+}
+
 TEST_F(AlgebraTest, UnionAndDifference) {
   Relation u = std::move(Evaluate(ra::Union(ra::Rel("R"), ra::Rel("U")), db_))
                    .value();

@@ -297,7 +297,8 @@ TEST(VectorizedExplainTest, AnalyzeAnnotatesVectorizedBackends) {
   ExecOptions options;
   options.backend = ExecBackend::kVectorized;
   ExplainPlan plan =
-      std::move(ExplainExpressionAnalyze(PayrollJoin(), db, options)).value();
+      std::move(ExplainExpressionAnalyze(
+          PayrollJoin(), [&] { return db; }, options)).value();
 
   const std::string text = plan.ToText();
   EXPECT_NE(text.find(" backend=bytecode time="), std::string::npos) << text;
@@ -316,7 +317,8 @@ TEST(VectorizedExplainTest, AnalyzeAnnotatesInterpreterBackend) {
   ExecOptions options;
   options.backend = ExecBackend::kInterpreter;
   ExplainPlan plan =
-      std::move(ExplainExpressionAnalyze(PayrollJoin(), db, options)).value();
+      std::move(ExplainExpressionAnalyze(
+          PayrollJoin(), [&] { return db; }, options)).value();
   const std::string text = plan.ToText();
   EXPECT_NE(text.find(" backend=interpreter time="), std::string::npos)
       << text;
@@ -343,7 +345,8 @@ TEST(VectorizedExplainTest, PlainExplainCarriesNoBackend) {
 TEST(VectorizedExplainTest, AutoBackendLatchesOnInputSize) {
   Database small = PayrollishDatabase();
   ExplainPlan plan =
-      std::move(ExplainExpressionAnalyze(PayrollJoin(), small, {})).value();
+      std::move(ExplainExpressionAnalyze(
+          PayrollJoin(), [&] { return small; }, {})).value();
   EXPECT_NE(plan.ToText().find(" backend=interpreter"), std::string::npos);
 
   Database big;
@@ -360,7 +363,8 @@ TEST(VectorizedExplainTest, AutoBackendLatchesOnInputSize) {
   big.Put("Emp", std::move(emp));
   big.Put("Dept", std::move(dept));
   ExplainPlan big_plan =
-      std::move(ExplainExpressionAnalyze(PayrollJoin(), big, {})).value();
+      std::move(ExplainExpressionAnalyze(
+          PayrollJoin(), [&] { return big; }, {})).value();
   EXPECT_NE(big_plan.ToText().find(" backend=bytecode"), std::string::npos)
       << big_plan.ToText();
   EXPECT_EQ(big_plan.ToText().find(" backend=interpreter"),
